@@ -3,11 +3,13 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <spawn.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -37,7 +39,7 @@ constexpr std::size_t kStreamQueries = 16384;
 /// Requests of the traced hi phase written out as spans.
 constexpr std::size_t kSpanRequests = 2000;
 /// Set-ups per untraced run; setup_s is their median.
-constexpr int kSetups = 9;
+constexpr int kSetups = 25;
 /// Phase latency figures are taken over this many equal slices of a
 /// fixed-rate phase (see summarize_windows).
 constexpr int kSlices = 20;
@@ -126,6 +128,28 @@ class TracedBackend final : public serve::QueryBackend {
   std::unique_ptr<serve::QueryBackend> inner_;
 };
 
+/// VmHWM (peak resident set) of /proc/<pid>, in MB.
+double process_peak_rss_mb(const std::string& pid) {
+  std::ifstream status("/proc/" + pid + "/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+  }
+  throw std::runtime_error("no VmHWM in /proc/" + pid + "/status");
+}
+
+/// Lowers this process's VmHWM to its current resident set, so the next
+/// reading covers only what happens after the call (training and set-up
+/// peaks are left out).
+void reset_peak_rss() {
+  std::ofstream clear_refs("/proc/self/clear_refs");
+  clear_refs << "5" << std::flush;
+  if (!clear_refs) {
+    throw std::runtime_error("cannot reset the peak RSS through "
+                             "/proc/self/clear_refs");
+  }
+}
+
 /// shard_server children of the remote fleet. Each child's stdout is a pipe
 /// the parent reads until the child's "ready" line; stderr goes to a log
 /// file. Destruction asks each child to shut down, then kills and reaps
@@ -154,20 +178,23 @@ class ShardProcesses {
     char* argv[] = {arg0.data(), nullptr};
     int out[2];
     if (::pipe2(out, O_CLOEXEC) != 0) throw std::runtime_error("pipe failed");
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(out[0]);
-      ::close(out[1]);
-      throw std::runtime_error("fork failed");
-    }
-    if (pid == 0) {
-      ::dup2(out[1], STDOUT_FILENO);
-      const int log = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      if (log >= 0) ::dup2(log, STDERR_FILENO);
-      ::execve(exe.c_str(), argv, envp.data());
-      ::_exit(127);
-    }
+    // posix_spawn rather than fork: the child shares this process's memory
+    // until it execs, so set-up does not pay for copying the page tables of
+    // a process that holds the trained models.
+    posix_spawn_file_actions_t actions;
+    ::posix_spawn_file_actions_init(&actions);
+    ::posix_spawn_file_actions_adddup2(&actions, out[1], STDOUT_FILENO);
+    ::posix_spawn_file_actions_addopen(&actions, STDERR_FILENO, log_path.c_str(),
+                                       O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    pid_t pid = 0;
+    const int spawned =
+        ::posix_spawn(&pid, exe.c_str(), &actions, nullptr, argv, envp.data());
+    ::posix_spawn_file_actions_destroy(&actions);
     ::close(out[1]);
+    if (spawned != 0) {
+      ::close(out[0]);
+      throw std::runtime_error("cannot start " + exe);
+    }
     children_.push_back({pid, out[0], address});
   }
 
@@ -204,6 +231,15 @@ class ShardProcesses {
       }
     }
     return ticks / static_cast<double>(::sysconf(_SC_CLK_TCK));
+  }
+
+  /// Sum of the children's peak resident sets, in MB.
+  [[nodiscard]] double peak_rss_mb() const {
+    double mb = 0.0;
+    for (const Child& child : children_) {
+      mb += process_peak_rss_mb(std::to_string(child.pid));
+    }
+    return mb;
   }
 
   void stop() noexcept {
@@ -312,6 +348,10 @@ class Fleet {
     };
     return seconds(usage.ru_utime) + seconds(usage.ru_stime) + children_.cpu_s();
   }
+  /// Peak resident set of this process plus the fleet's children, in MB.
+  [[nodiscard]] double peak_rss_mb() const {
+    return process_peak_rss_mb("self") + children_.peak_rss_mb();
+  }
   /// Client-side telemetry of the remote backends, merged.
   [[nodiscard]] serve::telemetry::RegistrySnapshot remote_telemetry() const {
     serve::telemetry::RegistrySnapshot merged;
@@ -400,6 +440,17 @@ struct Phase {
   }
 };
 
+/// Completion callback body: stamps the answer time and keeps what
+/// check_phase compares with the reference.
+void record_answer(Slot& slot, serve::Response response) {
+  slot.t.done_us = now_us();
+  slot.status = static_cast<int>(response.status);
+  slot.flagged = response.flagged;
+  slot.rp = response.query.rp;
+  slot.position = response.query.position;
+  slot.top_k = std::move(response.query.top_k);
+}
+
 /// Open loop: one sender replays the stream's arrival stamps rescaled to
 /// `rate_qps` for `duration_s`, spinning to each due time. Latency counts
 /// from the due time, so sender lag is charged to the request.
@@ -430,18 +481,53 @@ Phase run_phase(Fleet& fleet, const Stream& stream, double rate_qps,
     try {
       service.submit({query.building, query.x},
                      [s = &slot](serve::Response response) {
-                       s->t.done_us = now_us();
-                       s->status = static_cast<int>(response.status);
-                       s->flagged = response.flagged;
-                       s->rp = response.query.rp;
-                       s->position = response.query.position;
-                       s->top_k = std::move(response.query.top_k);
+                       record_answer(*s, std::move(response));
                      });
     } catch (const std::exception&) {
       slot.status = -2;
     }
     tl_slot = nullptr;
     slot.submitted_us = now_us();
+  }
+  service.drain();
+  return phase;
+}
+
+/// Closed loop with one query in flight: each query is sent as soon as the
+/// previous answer arrived, for `duration_s`. Latency is send to answer;
+/// no queue forms, so it is the fleet's fixed cost per query.
+Phase run_idle_probe(Fleet& fleet, const Stream& stream, double duration_s) {
+  Phase phase;
+  phase.window_us = duration_s * 1e6;
+  // The loop stops at the reserve, so slots never move while a callback
+  // holds a pointer to one; a query takes far longer than 10 us.
+  const std::size_t capacity = static_cast<std::size_t>(phase.window_us / 10.0);
+  phase.slots.reserve(capacity);
+  serve::LocalizationService& service = fleet.service();
+  phase.start_us = now_us();
+  const double end_us = phase.start_us + phase.window_us;
+  std::atomic<bool> answered{false};
+  for (std::size_t j = 0; phase.slots.size() < capacity; ++j) {
+    const double now = now_us();
+    if (now >= end_us) break;
+    Slot& slot = phase.slots.emplace_back();
+    const serve::TimedQuery& query = stream.queries[j % stream.queries.size()];
+    slot.t.due_us = now;
+    slot.t.sent_us = now;
+    answered.store(false, std::memory_order_relaxed);
+    try {
+      service.submit({query.building, query.x},
+                     [s = &slot, &answered](serve::Response response) {
+                       record_answer(*s, std::move(response));
+                       answered.store(true, std::memory_order_release);
+                     });
+    } catch (const std::exception&) {
+      slot.status = -2;
+      continue;
+    }
+    slot.submitted_us = now_us();
+    while (!answered.load(std::memory_order_acquire)) {
+    }
   }
   service.drain();
   return phase;
@@ -492,12 +578,6 @@ LatencySummary summarize_phase(const Phase& phase) {
 
 bool backlogged(const Phase& phase) {
   return backlog_growing(phase.times(), phase.start_us, phase.window_us);
-}
-
-double peak_rss_mb() {
-  rusage usage{};
-  ::getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
 struct Burst {
@@ -582,6 +662,11 @@ ServeOutcome run_serving(const ServeConfig& config,
 
   Checked checked;
   settle();
+  reset_peak_rss();
+  const Phase idle = run_idle_probe(*fleet, stream, config.idle_s);
+  check_phase(idle, stream, reference, checked);
+  out.idle = summarize(idle.times());
+  settle();
   const Phase lo = run_phase(*fleet, stream, config.lo_qps, config.phase_s);
   check_phase(lo, stream, reference, checked);
   out.lo = summarize_phase(lo);
@@ -591,8 +676,8 @@ ServeOutcome run_serving(const ServeConfig& config,
   check_phase(hi, stream, reference, checked);
   out.hi = summarize_phase(hi);
   out.backlogged_phases += backlogged(hi) ? 1 : 0;
-  out.peak_rss_mb = peak_rss_mb();
-  fill_gate(checked, out);  // gate quality over the fixed-rate phases only
+  out.peak_rss_mb = fleet->peak_rss_mb();
+  fill_gate(checked, out);  // gate quality over the probe and fixed rates
   std::vector<double> qps;
   std::vector<double> cpu;
   for (int i = 0; i < kBursts; ++i) {

@@ -1,8 +1,7 @@
-// The serving phase every workload runs: open-loop replay of
-// TrafficGenerator's Poisson stream at fixed rates against one of three
-// fleets, saturation bursts for capacity, and a per-query correctness check
-// against a
-// SyncBackend reference.
+// The serving phase every workload runs against one of three fleets: an idle
+// probe with one query in flight, open-loop replay of TrafficGenerator's
+// Poisson stream at fixed rates, saturation bursts for capacity, and a
+// per-query correctness check against a SyncBackend reference.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +36,10 @@ struct ServeConfig {
   /// completion rates.
   double saturate_qps = 0.0;
   double burst_s = 0.5;
-  /// Length of the lo and hi phases. Phase latency figures are medians
-  /// over `windows` equal slices of the phase (see summarize_windows).
+  /// Length of the lo and hi phases.
   double phase_s = 2.5;
-  int windows = 20;
-  /// Set-ups per run; setup_s is their median.
-  int setups = 9;
+  /// Length of the idle probe (one query in flight at a time).
+  double idle_s = 1.0;
   /// Directory for sockets, partition map and shard logs (remote fleet).
   std::string run_dir;
   /// The shard_server executable (remote fleet).
@@ -51,6 +48,8 @@ struct ServeConfig {
 
 struct ServeOutcome {
   double setup_s = 0.0;
+  /// Send-to-answer latency with one query in flight (the idle probe).
+  LatencySummary idle;
   LatencySummary lo;
   LatencySummary hi;
   double capacity_qps = 0.0;
@@ -62,8 +61,10 @@ struct ServeOutcome {
   /// Fixed-rate phases whose backlog grew (offered rate above what the
   /// host sustained during the phase).
   int backlogged_phases = 0;
-  /// Process peak resident set after the fixed-rate phases (how much the
-  /// saturation bursts queue varies with the host, so they are excluded).
+  /// Peak resident set over the idle probe and the fixed-rate phases: this
+  /// process (its peak mark reset just before the probe) plus any
+  /// shard_server children (their whole life). The saturation bursts are
+  /// left out: how much they queue varies with the host.
   double peak_rss_mb = 0.0;
   std::size_t attempted = 0;
   /// Refused, failed, unanswered or wrong answers.
@@ -74,7 +75,8 @@ struct ServeOutcome {
   double benign_flag_frac = 0.0;
 };
 
-/// Untraced run: set-up (median of several), lo and hi phases, capacity.
+/// Untraced run: set-up (median of several), idle probe, lo and hi phases,
+/// capacity.
 [[nodiscard]] ServeOutcome run_serving(const ServeConfig& config,
                                  const std::vector<safeloc::serve::ModelRecord>&
                                      records);
