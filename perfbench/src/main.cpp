@@ -204,12 +204,22 @@ int run(const Args& args) {
     metrics.add("train_s", trained.train_s, "s");
     metrics.add("err_mean_m.clean", err_clean, "m");
     metrics.add("err_mean_m.fgsm", err_fgsm, "m");
-    metrics.add("p50_us.idle", served.idle.p50_us, "us");
     metrics.add("cpu_us_per_query", served.cpu_us_per_query, "us");
     metrics.add("peak_rss_mb", served.peak_rss_mb, "MB");
+    // setup_s, train_s and cpu_us_per_query above are rescaled to the
+    // reference host speed (hostspeed.h); these are the same figures as
+    // measured, the speeds they were rescaled by, and set-up wall time.
+    info("setup_cpu_s.measured", served.measured_setup_s, "s");
+    info("setup_host_speed", served.setup_speed, "x");
+    info("setup_wall_s", served.setup_wall_s, "s");
+    info("train_wall_s", trained.wall_s, "s");
+    info("train_host_speed", trained.speed.mean_speed, "x");
+    info("cpu_us_per_query.measured", served.measured_cpu_us_per_query, "us");
+    info("cpu_host_speed", served.cpu_speed, "x");
     // Measured and printed, but too host-dependent on a shared VM to gate
     // on (see perfbench/README.md): under load, latency and capacity move
     // far more between runs than any bound could allow.
+    info("p50_us.idle", served.idle.p50_us, "us");
     info("capacity_qps", served.capacity_qps, "1/s");
     info("p50_floor_us.lo", served.lo.p50_floor_us, "us");
     info("p50_us.lo", served.lo.p50_us, "us");
@@ -310,8 +320,11 @@ int run(const Args& args) {
     metrics.add("remote.connect_retries", layers.connect_retries, "count");
     metrics.add("poison_recall", layers.outcome.poison_recall, "frac");
     metrics.add("benign_flag_frac", layers.outcome.benign_flag_frac, "frac");
+    // Wall against wall: the traced replay runs without a speed sampler, so
+    // the untraced time leaves the sampler's bursts out.
+    const double untraced_s = trained.wall_s - trained.speed.busy_s;
     metrics.add("trace_overhead_frac",
-                (phases.wall_s - trained.train_s) / trained.train_s, "frac");
+                (phases.wall_s - untraced_s) / untraced_s, "frac");
     metrics.add("serve.trace_overhead_frac",
                 (layers.outcome.hi.p50_us - layers.untraced_hi_p50_us) /
                     layers.untraced_hi_p50_us,

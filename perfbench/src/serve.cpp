@@ -20,6 +20,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "hostspeed.h"
 #include "src/serve/admission.h"
 #include "src/serve/backend.h"
 #include "src/serve/partition.h"
@@ -136,6 +137,17 @@ double process_peak_rss_mb(const std::string& pid) {
     if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
   }
   throw std::runtime_error("no VmHWM in /proc/" + pid + "/status");
+}
+
+/// User plus system CPU seconds of getrusage(who): RUSAGE_SELF, or
+/// RUSAGE_CHILDREN for every child reaped so far.
+double rusage_cpu_s(int who) {
+  rusage usage{};
+  ::getrusage(who, &usage);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + 1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
 /// Lowers this process's VmHWM to its current resident set, so the next
@@ -341,12 +353,7 @@ class Fleet {
 
   /// CPU seconds used so far by this process and the fleet's children.
   [[nodiscard]] double cpu_s() const {
-    rusage usage{};
-    ::getrusage(RUSAGE_SELF, &usage);
-    const auto seconds = [](const timeval& tv) {
-      return static_cast<double>(tv.tv_sec) + 1e-6 * static_cast<double>(tv.tv_usec);
-    };
-    return seconds(usage.ru_utime) + seconds(usage.ru_stime) + children_.cpu_s();
+    return rusage_cpu_s(RUSAGE_SELF) + children_.cpu_s();
   }
   /// Peak resident set of this process plus the fleet's children, in MB.
   [[nodiscard]] double peak_rss_mb() const {
@@ -584,8 +591,13 @@ struct Burst {
   /// Answers completed per second during the middle half of the burst.
   double qps = 0.0;
   /// CPU time of the whole burst (this process and any shard children,
-  /// from the first submit until the fleet drained) per answered query.
+  /// from the first submit until the fleet drained) per answered query, at
+  /// the reference host speed.
   double cpu_us_per_query = 0.0;
+  /// The same, as measured, and the host speed on every core, the mean of
+  /// its measures right before and after the burst (hostspeed.h).
+  double measured_cpu_us_per_query = 0.0;
+  double speed = 0.0;
   /// Whether the backlog rule saw the backlog grow; if not, the burst did
   /// not overload the fleet and qps is a lower bound.
   bool saturated = false;
@@ -598,12 +610,16 @@ Burst saturation_burst(Fleet& fleet, const Stream& stream, double offered_qps,
                        double burst_s,
                        const std::vector<serve::QueryResult>& reference,
                        Checked& checked) {
+  const double speed0 = measure_host_speed();
+  settle();
   const double cpu0 = fleet.cpu_s();
   const Phase phase = run_phase(fleet, stream, offered_qps, burst_s);
   const double cpu1 = fleet.cpu_s();
+  const double speed = 0.5 * (speed0 + measure_host_speed());
   check_phase(phase, stream, reference, checked);
   Burst burst;
   burst.saturated = backlogged(phase);
+  burst.speed = speed;
   const double from = phase.start_us + 0.25 * phase.window_us;
   const double to = phase.start_us + 0.75 * phase.window_us;
   std::size_t in_window = 0;
@@ -615,8 +631,9 @@ Burst saturation_burst(Fleet& fleet, const Stream& stream, double offered_qps,
   }
   burst.qps = static_cast<double>(in_window) / ((to - from) * 1e-6);
   if (answered > 0) {
-    burst.cpu_us_per_query =
+    burst.measured_cpu_us_per_query =
         (cpu1 - cpu0) * 1e6 / static_cast<double>(answered);
+    burst.cpu_us_per_query = burst.measured_cpu_us_per_query * speed;
   }
   return burst;
 }
@@ -646,17 +663,35 @@ void fill_gate(const Checked& checked, ServeOutcome& out) {
 ServeOutcome run_serving(const ServeConfig& config,
                    const std::vector<serve::ModelRecord>& records) {
   ServeOutcome out;
+  // Set-up is timed in CPU seconds, this process's plus its shard
+  // children's, rescaled to the reference host speed: its wall time waits
+  // on wake-ups and child processes, which a slow host state stretches far
+  // more than its arithmetic (see README.md). A child's CPU time is known
+  // once it is reaped, which the next set-up's fleet.reset() does, so the
+  // run makes kSetups + 1 set-ups and the last one serves.
   std::vector<double> setups;
+  std::vector<double> walls;
   Stream stream;
   std::unique_ptr<Fleet> fleet;
-  for (int i = 0; i < kSetups; ++i) {
+  const double speed0 = measure_host_speed();
+  double self_cpu = 0.0;
+  for (int i = 0; i <= kSetups; ++i) {
+    const double reaped0 = rusage_cpu_s(RUSAGE_CHILDREN);
     fleet.reset();
+    if (i > 0) {
+      setups.push_back(self_cpu + rusage_cpu_s(RUSAGE_CHILDREN) - reaped0);
+    }
     const double t0 = now_us();
+    const double self0 = rusage_cpu_s(RUSAGE_SELF);
     stream = make_stream(config);
     fleet = std::make_unique<Fleet>(config, records, /*traced=*/false);
-    setups.push_back((now_us() - t0) * 1e-6);
+    self_cpu = rusage_cpu_s(RUSAGE_SELF) - self0;
+    walls.push_back((now_us() - t0) * 1e-6);
   }
-  out.setup_s = median_of(setups);
+  out.setup_speed = 0.5 * (speed0 + measure_host_speed());
+  out.measured_setup_s = median_of(setups);
+  out.setup_s = out.measured_setup_s * out.setup_speed;
+  out.setup_wall_s = median_of(walls);
   const std::vector<serve::QueryResult> reference =
       reference_answers(stream, records);
 
@@ -680,16 +715,22 @@ ServeOutcome run_serving(const ServeConfig& config,
   fill_gate(checked, out);  // gate quality over the probe and fixed rates
   std::vector<double> qps;
   std::vector<double> cpu;
+  std::vector<double> measured_cpu;
+  std::vector<double> speeds;
   for (int i = 0; i < kBursts; ++i) {
     settle();
     const Burst burst = saturation_burst(*fleet, stream, config.saturate_qps,
                                          config.burst_s, reference, checked);
     qps.push_back(burst.qps);
     cpu.push_back(burst.cpu_us_per_query);
+    measured_cpu.push_back(burst.measured_cpu_us_per_query);
+    speeds.push_back(burst.speed);
     if (!burst.saturated) ++out.unsaturated_bursts;
   }
   out.capacity_qps = median_of(qps);
   out.cpu_us_per_query = median_of(cpu);
+  out.measured_cpu_us_per_query = median_of(measured_cpu);
+  out.cpu_speed = median_of(speeds);
   fill_counts(checked, out);
   return out;
 }

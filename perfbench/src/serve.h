@@ -47,15 +47,28 @@ struct ServeConfig {
 };
 
 struct ServeOutcome {
+  /// Median over the set-ups (stream synthesis and fleet bring-up with
+  /// publish) of their CPU time, this process plus its shard children's
+  /// whole life, rescaled to the reference host speed measured on every
+  /// core right before and after the set-ups (hostspeed.h).
   double setup_s = 0.0;
+  /// The same as measured, that speed, and the set-ups' median wall time.
+  double measured_setup_s = 0.0;
+  double setup_speed = 0.0;
+  double setup_wall_s = 0.0;
   /// Send-to-answer latency with one query in flight (the idle probe).
   LatencySummary idle;
   LatencySummary lo;
   LatencySummary hi;
   double capacity_qps = 0.0;
   /// Median over the bursts of CPU time (this process plus shard children)
-  /// per answered query at saturation.
+  /// per answered query at saturation, rescaled to the reference host speed
+  /// measured on every core right before and after each burst
+  /// (hostspeed.h).
   double cpu_us_per_query = 0.0;
+  /// The same as measured, and the median over the bursts of that speed.
+  double measured_cpu_us_per_query = 0.0;
+  double cpu_speed = 0.0;
   /// Bursts whose backlog did not grow (offered rate below capacity).
   int unsaturated_bursts = 0;
   /// Fixed-rate phases whose backlog grew (offered rate above what the

@@ -151,10 +151,14 @@ std::vector<engine::ScenarioSpec> training_grid() {
 TrainResult train() {
   const std::vector<engine::ScenarioSpec> grid = training_grid();
   TrainResult out;
+  const CorePin pin;
+  SpeedSampler sampler(pin.cpu());
   const double t0 = now_us();
   out.report = engine::ScenarioEngine{}.run(grid, /*n_threads=*/1,
                                             /*capture_final_gm=*/true);
-  out.train_s = (now_us() - t0) * 1e-6;
+  out.wall_s = (now_us() - t0) * 1e-6;
+  out.speed = sampler.stop();
+  out.train_s = reference_seconds(out.wall_s, out.speed);
   return out;
 }
 

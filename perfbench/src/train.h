@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "hostspeed.h"
 #include "spans.h"
 #include "src/engine/engine.h"
 
@@ -27,7 +28,11 @@ inline constexpr std::size_t kCellB2 = 2;
 [[nodiscard]] std::vector<safeloc::engine::ScenarioSpec> training_grid();
 
 struct TrainResult {
+  /// Wall time of the training phase rescaled to the reference host speed
+  /// (hostspeed.h); wall_s is the raw wall time, sampler bursts included.
   double train_s = 0.0;
+  double wall_s = 0.0;
+  SpeedSummary speed;
   safeloc::engine::RunReport report;
 };
 
