@@ -214,6 +214,8 @@ int run(const Args& args) {
     info("setup_wall_s", served.setup_wall_s, "s");
     info("train_wall_s", trained.wall_s, "s");
     info("train_host_speed", trained.speed.mean_speed, "x");
+    info("train_speed_samples", static_cast<double>(trained.speed.samples),
+         "count");
     info("cpu_us_per_query.measured", served.measured_cpu_us_per_query, "us");
     info("cpu_host_speed", served.cpu_speed, "x");
     // Measured and printed, but too host-dependent on a shared VM to gate
