@@ -167,17 +167,22 @@ FusedNet::StepLosses FusedNet::backward(
     } else {
       g = untied_dec2_->backward(g);
       g = relu_d1_.backward(g);
-      g = untied_dec1_->backward(g);
+      if (freeze) {
+        untied_dec1_->backward_params(g);  // the bottleneck gradient stops
+      } else {
+        g = untied_dec1_->backward(g);
+      }
     }
     if (!freeze) {
       axpy(1.0f, g, g_latent);  // let the recon loss shape the encoder too
     }
   }
 
-  // Encoder chain (classification gradient, plus recon if unfrozen).
+  // Encoder chain (classification gradient, plus recon if unfrozen). The
+  // input gradient of enc1 would be dL/dx, which training never reads.
   nn::Matrix g3 = enc3_.backward(relu3_.backward(g_latent));
   nn::Matrix g2 = enc2_.backward(relu2_.backward(g3));
-  (void)enc1_.backward(relu1_.backward(g2));
+  enc1_.backward_params(relu1_.backward(g2));
   return losses;
 }
 
@@ -192,7 +197,7 @@ double FusedNet::backward_decoder(const nn::Matrix& target,
   } else {
     g = untied_dec2_->backward(g);
     g = relu_d1_.backward(g);
-    (void)untied_dec1_->backward(g);
+    untied_dec1_->backward_params(g);
   }
   // The bottleneck gradient is dropped: encoder and classifier see nothing.
   return recon.loss;

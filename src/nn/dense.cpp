@@ -33,13 +33,26 @@ Matrix Dense::forward(const Matrix& x, bool train) {
   return y;
 }
 
-Matrix Dense::backward(const Matrix& grad_out) {
+void Dense::backward_params(const Matrix& grad_out) {
   if (x_cache_.empty()) {
     throw std::logic_error("Dense::backward without cached forward");
   }
-  axpy(1.0f, matmul_at_b(x_cache_, grad_out), gw_);
-  axpy(1.0f, column_sums(grad_out), gb_);
-  return matmul_a_bt(grad_out, w_);
+  // matmul_at_b(x, g) over the reused workspace. This step's gradient is
+  // summed on its own and then added to the accumulator; accumulating
+  // straight into gw_ would change the summation order.
+  transpose_into(x_cache_, xt_);
+  matmul_into_auto(xt_, grad_out, gw_step_);
+  axpy(1.0f, gw_step_, gw_);
+  column_sums_into(grad_out, gb_step_);
+  axpy(1.0f, gb_step_, gb_);
+}
+
+Matrix Dense::backward(const Matrix& grad_out) {
+  backward_params(grad_out);
+  transpose_into(w_, wt_);
+  Matrix dx;
+  matmul_into_auto(grad_out, wt_, dx);
+  return dx;
 }
 
 std::vector<ParamRef> Dense::parameters(const std::string& prefix) {
@@ -85,7 +98,9 @@ Matrix TiedDense::backward(const Matrix& grad_out) {
     // dW_src = (x^T g)^T = g^T x, accumulated into the source's gradient.
     axpy(1.0f, matmul_at_b(grad_out, x_cache_), source_->weight_grad());
   }
-  return matmul(grad_out, source_->weight());
+  Matrix dx;
+  matmul_into_auto(grad_out, source_->weight(), dx);
+  return dx;
 }
 
 std::vector<ParamRef> TiedDense::parameters(const std::string& prefix) {

@@ -22,6 +22,11 @@ class Dense final : public Layer {
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string kind() const override;
 
+  /// backward() without the input gradient: accumulates dL/dW and dL/db
+  /// exactly as backward() does, for a layer whose dL/dx nobody reads (a
+  /// network's first layer).
+  void backward_params(const Matrix& grad_out);
+
   [[nodiscard]] std::size_t fan_in() const noexcept { return w_.rows(); }
   [[nodiscard]] std::size_t fan_out() const noexcept { return w_.cols(); }
 
@@ -38,6 +43,10 @@ class Dense final : public Layer {
   Matrix gw_;  // accumulated dL/dW
   Matrix gb_;  // accumulated dL/db
   Matrix x_cache_;
+  // Backward workspace, reused across calls so a training step allocates
+  // only the returned dL/dx: x^T, W^T, and this step's dL/dW and dL/db
+  // before they are added to the accumulators.
+  Matrix xt_, wt_, gw_step_, gb_step_;
 };
 
 /// Decoder-side layer whose weight is the transpose of a source Dense layer

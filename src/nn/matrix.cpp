@@ -94,44 +94,42 @@ void bias_act_rows(Matrix& y, const Matrix& bias_row, bool relu) {
 
 Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
   require(a.rows() == b.rows(), "matmul_at_b: outer dims mismatch");
-  const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  Matrix c(m, n);
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* arow = a.data() + p * m;
-    const float* brow = b.data() + p * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  Matrix at, c;
+  transpose_into(a, at);
+  matmul_into_auto(at, b, c);
   return c;
 }
 
 Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
   require(a.cols() == b.cols(), "matmul_a_bt: inner dims mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  Matrix c(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a.data() + i * k;
-    float* crow = c.data() + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = b.data() + j * k;
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] = acc;
-    }
-  }
+  Matrix bt, c;
+  transpose_into(b, bt);
+  matmul_into_auto(a, bt, c);
   return c;
 }
 
 Matrix transpose(const Matrix& a) {
-  Matrix out(a.cols(), a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) out(j, i) = a(i, j);
-  }
+  Matrix out;
+  transpose_into(a, out);
   return out;
+}
+
+void transpose_into(const Matrix& a, Matrix& out) {
+  const std::size_t rows = a.rows(), cols = a.cols();
+  if (out.rows() != cols || out.cols() != rows) out.reshape_discard(cols, rows);
+  // 16x16 tiles keep both the read and the strided write side in cache.
+  constexpr std::size_t kTile = 16;
+  const float* src = a.data();
+  float* dst = out.data();
+  for (std::size_t i0 = 0; i0 < rows; i0 += kTile) {
+    const std::size_t i1 = std::min(i0 + kTile, rows);
+    for (std::size_t j0 = 0; j0 < cols; j0 += kTile) {
+      const std::size_t j1 = std::min(j0 + kTile, cols);
+      for (std::size_t i = i0; i < i1; ++i) {
+        for (std::size_t j = j0; j < j1; ++j) dst[j * rows + i] = src[i * cols + j];
+      }
+    }
+  }
 }
 
 void axpy(float alpha, const Matrix& x, Matrix& out) {
@@ -179,12 +177,21 @@ void add_row_broadcast(Matrix& a, const Matrix& bias_row) {
 }
 
 Matrix column_sums(const Matrix& a) {
-  Matrix out(1, a.cols());
+  Matrix out;
+  column_sums_into(a, out);
+  return out;
+}
+
+void column_sums_into(const Matrix& a, Matrix& out) {
+  if (out.rows() != 1 || out.cols() != a.cols()) {
+    out.reshape_discard(1, a.cols());
+  } else {
+    out.zero();
+  }
   for (std::size_t i = 0; i < a.rows(); ++i) {
     const float* arow = a.data() + i * a.cols();
     for (std::size_t j = 0; j < a.cols(); ++j) out.data()[j] += arow[j];
   }
-  return out;
 }
 
 double frobenius_norm(const Matrix& a) noexcept {

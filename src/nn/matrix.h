@@ -1,10 +1,6 @@
 // Dense row-major float32 matrix — the single tensor type used throughout
 // the library. Fingerprint batches are (samples x features), layer weights
 // are (fan_in x fan_out), biases are (1 x fan_out).
-//
-// The workloads in this repo are small (feature widths of ~128, batches of a
-// few hundred), so a cache-friendly ikj GEMM is all the performance the
-// experiment grid needs; no BLAS dependency.
 #pragma once
 
 #include <cstddef>
@@ -119,13 +115,22 @@ void matmul_into_variant(const Matrix& a, const Matrix& b, Matrix& out,
 /// element once instead of three times.
 void bias_act_rows(Matrix& y, const Matrix& bias_row, bool relu);
 
-/// C = A^T * B.  A: (k,m)  B: (k,n)  C: (m,n)   (no explicit transpose)
+/// C = A^T * B.  A: (k,m)  B: (k,n)  C: (m,n). Runs matmul_into_auto over
+/// transpose(A), so every element sums a(p,i) * b(p,j) in ascending p from
+/// +0, skipping a(p,i) == 0.
 [[nodiscard]] Matrix matmul_at_b(const Matrix& a, const Matrix& b);
 
-/// C = A * B^T.  A: (m,k)  B: (n,k)  C: (m,n)
+/// C = A * B^T.  A: (m,k)  B: (n,k)  C: (m,n). Runs matmul_into_auto over
+/// transpose(B): every element is the ascending-p dot product started at
+/// +0, bit-identical to the textbook loop whenever B is finite (see
+/// simd/kernels.h on the zero-skip).
 [[nodiscard]] Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
 
 [[nodiscard]] Matrix transpose(const Matrix& a);
+
+/// out = A^T, reusing out's storage when the shape already matches. `out`
+/// must not alias `a`.
+void transpose_into(const Matrix& a, Matrix& out);
 
 /// out += alpha * x (same shape).
 void axpy(float alpha, const Matrix& x, Matrix& out);
@@ -141,8 +146,11 @@ void scale(Matrix& a, float alpha) noexcept;
 /// Adds a (1 x n) bias row to every row of a (m x n) matrix, in place.
 void add_row_broadcast(Matrix& a, const Matrix& bias_row);
 
-/// Returns (1 x n) column sums of a (m x n) matrix.
+/// Returns (1 x n) column sums of a (m x n) matrix, rows added in order.
 [[nodiscard]] Matrix column_sums(const Matrix& a);
+
+/// column_sums into a caller-owned (1 x n) output, reusing its storage.
+void column_sums_into(const Matrix& a, Matrix& out);
 
 /// Frobenius / L2 norm of all entries.
 [[nodiscard]] double frobenius_norm(const Matrix& a) noexcept;

@@ -36,23 +36,17 @@ void Adam::step(std::span<const ParamRef> params) {
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
   const double alpha = lr_ * std::sqrt(bc2) / bc1;
+  const simd::AdamStep coeffs{beta1_,        beta2_, 1.0 - beta1_,
+                              1.0 - beta2_, alpha,  eps_};
+  const simd::KernelTable& kernels = simd::active();
 
   for (std::size_t i = 0; i < params.size(); ++i) {
     Matrix& value = *params[i].value;
-    const Matrix& grad = *params[i].grad;
     if (m_[i].size() != value.size()) {
       throw std::logic_error("Adam::step: parameter shape changed");
     }
-    float* mv = m_[i].data();
-    float* vv = v_[i].data();
-    const float* g = grad.data();
-    float* w = value.data();
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      mv[j] = static_cast<float>(beta1_ * mv[j] + (1.0 - beta1_) * g[j]);
-      vv[j] = static_cast<float>(beta2_ * vv[j] +
-                                 (1.0 - beta2_) * static_cast<double>(g[j]) * g[j]);
-      w[j] -= static_cast<float>(alpha * mv[j] / (std::sqrt(vv[j]) + eps_));
-    }
+    kernels.adam(value.data(), m_[i].data(), v_[i].data(),
+                 params[i].grad->data(), value.size(), coeffs);
   }
 }
 

@@ -1,9 +1,12 @@
-// Raw SIMD/scalar inference kernels behind the runtime dispatcher
-// (dispatch.h). Three kernels cover the serving hot path:
+// Raw SIMD/scalar kernels behind the runtime dispatcher (dispatch.h). They
+// cover the serving hot path and every kernel of one training step:
 //
-//   gemm      C (m x n) += A (m x k) * B (k x n), C pre-zeroed by the caller
+//   gemm      C (m x n) += A (m x k) * B (k x n), C pre-zeroed by the caller;
+//             the forward pass, and both backward GEMMs over a transposed
+//             operand (nn::matmul_at_b / nn::matmul_a_bt)
 //   bias_act  fused epilogue y = act(y + bias) over a row-major batch
 //   argmax    first index of the row maximum (top-1 classification)
+//   adam      one Adam update of a parameter tensor and its moments
 //
 // The bitwise-identity contract (every variant produces byte-identical
 // output to the scalar reference, verified exhaustively by
@@ -15,7 +18,11 @@
 //     scalar kernel. SIMD variants vectorize across j (independent output
 //     elements) only, and use separate mul + add — never FMA, whose single
 //     rounding would diverge. The build pins -ffp-contract=off so compilers
-//     cannot re-fuse the scalar tails either.
+//     cannot re-fuse the scalar tails either. The zero-skip also makes gemm
+//     equal to a plain ascending-k dot product started at +0 whenever B is
+//     finite (adding a ±0 product never changes a sum that started at +0);
+//     with an Inf or NaN in B a skipped product would have been NaN, so the
+//     backward GEMMs match the textbook loops for finite inputs only.
 //   * bias_act applies act(v) = (v > 0.0f ? v : 0.0f) when relu is set —
 //     the same predicate as nn::ReLU — which maps exactly onto
 //     and(v, cmp_gt(v, 0)): NaN and -0.0f both land on +0.0f in scalar and
@@ -23,6 +30,10 @@
 //   * argmax returns the first index attaining the maximum (ties break
 //     toward the lower class label, matching serve::top_k_classes). Inputs
 //     must be NaN-free (softmax probabilities are).
+//   * adam keeps every rounding step of the scalar loop: the moments are
+//     computed in double and narrowed to float, the square root is a float
+//     square root of the narrowed second moment, the step is divided in
+//     double and narrowed, and the weight is updated by a float subtract.
 //
 // Per-variant tables live in kernels_{scalar,sse2,avx2}.cpp; the AVX2 TU is
 // compiled with -mavx2 -mfma (per-file CMake flags) so the rest of the
@@ -34,6 +45,14 @@
 
 namespace safeloc::nn::simd {
 
+/// Per-step Adam scalars, computed once per step in double by nn::Adam.
+struct AdamStep {
+  double beta1, beta2;
+  double one_minus_beta1, one_minus_beta2;
+  double alpha;  // lr * sqrt(1 - beta2^t) / (1 - beta1^t)
+  double eps;
+};
+
 /// Function-pointer table for one kernel variant.
 struct KernelTable {
   void (*gemm)(const float* a, const float* b, float* c, std::size_t m,
@@ -41,6 +60,10 @@ struct KernelTable {
   void (*bias_act)(float* y, const float* bias, std::size_t rows,
                    std::size_t cols, bool relu);
   std::size_t (*argmax)(const float* x, std::size_t n);
+  /// w -= alpha * m / (sqrt(v) + eps) after updating m and v from g, over n
+  /// elements.
+  void (*adam)(float* w, float* m, float* v, const float* g, std::size_t n,
+               const AdamStep& s);
 };
 
 /// B-footprint threshold above which every variant's gemm switches from the
@@ -65,6 +88,10 @@ void bias_act_scalar(float* y, const float* bias, std::size_t rows,
                      std::size_t cols, bool relu);
 
 std::size_t argmax_scalar(const float* x, std::size_t n);
+
+/// The reference Adam loop every variant reproduces bit for bit.
+void adam_scalar(float* w, float* m, float* v, const float* g, std::size_t n,
+                 const AdamStep& s);
 
 // ---- Shared GEMM drivers -------------------------------------------------
 // One source of truth for the loop structure every variant shares, so the

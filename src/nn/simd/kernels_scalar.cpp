@@ -4,6 +4,8 @@
 // truth for the accumulation order.
 #include "src/nn/simd/kernels.h"
 
+#include <cmath>
+
 namespace safeloc::nn::simd {
 namespace {
 
@@ -60,6 +62,17 @@ std::size_t argmax_scalar(const float* x, std::size_t n) {
   return best;
 }
 
+void adam_scalar(float* w, float* m, float* v, const float* g, std::size_t n,
+                 const AdamStep& s) {
+  for (std::size_t j = 0; j < n; ++j) {
+    m[j] = static_cast<float>(s.beta1 * m[j] + s.one_minus_beta1 * g[j]);
+    v[j] = static_cast<float>(s.beta2 * v[j] + s.one_minus_beta2 *
+                                                   static_cast<double>(g[j]) *
+                                                   g[j]);
+    w[j] -= static_cast<float>(s.alpha * m[j] / (std::sqrt(v[j]) + s.eps));
+  }
+}
+
 namespace {
 
 void gemm_scalar(const float* a, const float* b, float* c, std::size_t m,
@@ -68,7 +81,7 @@ void gemm_scalar(const float* a, const float* b, float* c, std::size_t m,
 }
 
 constexpr KernelTable kScalarTable{gemm_scalar, bias_act_scalar,
-                                   argmax_scalar};
+                                   argmax_scalar, adam_scalar};
 
 }  // namespace
 

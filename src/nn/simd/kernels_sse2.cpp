@@ -104,7 +104,10 @@ std::size_t argmax_sse2(const float* x, std::size_t n) {
   return 0;  // unreachable for NaN-free input
 }
 
-constexpr KernelTable kSse2Table{gemm_sse2, bias_act_sse2, argmax_sse2};
+// Adam needs packed double conversions of four floats at a time, which SSE2
+// only offers two-wide; the scalar loop is the SSE2 entry.
+constexpr KernelTable kSse2Table{gemm_sse2, bias_act_sse2, argmax_sse2,
+                                 adam_scalar};
 
 }  // namespace
 

@@ -1,14 +1,22 @@
 // FusedNet: architecture, parameter accounting, gradcheck, detection and
-// de-noising paths, copy semantics with decoder ties.
+// de-noising paths, copy semantics with decoder ties, and training that is
+// byte-identical under every SIMD kernel variant.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <optional>
+#include <sstream>
+#include <string>
 
 #include "src/core/fused_net.h"
 #include "src/core/safeloc.h"
 #include "src/nn/gradcheck.h"
 #include "src/nn/loss.h"
 #include "src/nn/optimizer.h"
+#include "src/nn/simd/dispatch.h"
+#include "src/nn/state_dict.h"
+#include "src/util/config.h"
 #include "src/util/rng.h"
 
 namespace safeloc::core {
@@ -431,6 +439,65 @@ TEST(FusedNet, AssignmentRebindsTies) {
   b = a;
   const nn::Matrix x = random_batch(2, 16, 17);
   EXPECT_EQ(a.forward(x).logits, b.forward(x).logits);
+}
+
+/// Restores SAFELOC_KERNEL and the dispatcher's cached choice on exit.
+class KernelEnvGuard {
+ public:
+  KernelEnvGuard() : saved_(util::env_optional("SAFELOC_KERNEL")) {}
+  ~KernelEnvGuard() {
+    if (saved_.has_value()) {
+      ::setenv("SAFELOC_KERNEL", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("SAFELOC_KERNEL");
+    }
+    nn::simd::reload_kernel_env();
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+/// Serialized weights after a short paper-width training run (128-128-89-62
+/// encoder, 13 classes, batches of 32 and a ragged 16).
+std::string trained_state_bytes(bool freeze_encoder) {
+  FusedNet::Config config;
+  config.num_classes = 13;
+  FusedNet net(config, 77);
+  const nn::Matrix x = random_batch(80, config.input_dim, 78);
+  std::vector<int> labels(x.rows());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<int>(i % config.num_classes);
+  }
+  fl::TrainOpts opts;
+  opts.epochs = 2;
+  opts.seed = 79;
+  (void)train_fused_net(net, x, labels, opts, /*recon_weight=*/0.5,
+                        /*denoise_noise_std=*/0.05, /*device_augment=*/true,
+                        freeze_encoder);
+  std::ostringstream out;
+  nn::StateDict::from_module(net).save(out);
+  return out.str();
+}
+
+TEST(FusedNet, TrainingIsByteIdenticalUnderEveryForcedKernelVariant) {
+  const KernelEnvGuard guard;
+  for (const bool freeze : {false, true}) {
+    std::optional<std::string> scalar;
+    for (const nn::simd::Variant v : nn::simd::supported_variants()) {
+      ::setenv("SAFELOC_KERNEL", nn::simd::variant_name(v), 1);
+      nn::simd::reload_kernel_env();
+      ASSERT_EQ(nn::simd::active_variant(), v);
+      const std::string bytes = trained_state_bytes(freeze);
+      if (!scalar.has_value()) {
+        ASSERT_EQ(v, nn::simd::Variant::kScalar);
+        scalar = bytes;
+      } else {
+        EXPECT_TRUE(bytes == *scalar)
+            << nn::simd::variant_name(v) << " freeze=" << freeze;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -136,7 +136,7 @@ TEST(Matrix, MatmulTransposedVariantsAgreeWithExplicitTranspose) {
   const Matrix at_b_ref = matmul(transpose(a), b);
   ASSERT_EQ(at_b.rows(), at_b_ref.rows());
   for (std::size_t i = 0; i < at_b.size(); ++i) {
-    EXPECT_NEAR(at_b.data()[i], at_b_ref.data()[i], 1e-5f);
+    EXPECT_EQ(at_b.data()[i], at_b_ref.data()[i]);
   }
 
   const Matrix b_ct = matmul_a_bt(b, c);          // (4x5)·(3x5)^T = (4x3)
@@ -144,7 +144,7 @@ TEST(Matrix, MatmulTransposedVariantsAgreeWithExplicitTranspose) {
   ASSERT_EQ(b_ct.rows(), b_ct_ref.rows());
   ASSERT_EQ(b_ct.cols(), b_ct_ref.cols());
   for (std::size_t i = 0; i < b_ct.size(); ++i) {
-    EXPECT_NEAR(b_ct.data()[i], b_ct_ref.data()[i], 1e-5f);
+    EXPECT_EQ(b_ct.data()[i], b_ct_ref.data()[i]);
   }
 }
 

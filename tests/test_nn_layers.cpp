@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/nn/activations.h"
 #include "src/nn/dense.h"
@@ -108,6 +109,28 @@ TEST(Dense, GradientsAccumulateAcrossBackwardCalls) {
   const float after_one = dense.bias_grad()(0, 0);
   (void)dense.backward(ones_like_output(dense, x));
   EXPECT_FLOAT_EQ(dense.bias_grad()(0, 0), 2.0f * after_one);
+}
+
+TEST(Dense, BackwardParamsAccumulatesTheSameGradientBytes) {
+  // Paper-width layer, so the dispatched GEMMs run full strips and tails.
+  util::Rng rng(11);
+  Dense full(128, 89, rng);
+  Dense params_only = full;
+  for (int step = 0; step < 2; ++step) {  // second step exercises accumulation
+    const Matrix x = random_matrix(32, 128, 30 + step);
+    const Matrix g = random_matrix(32, 89, 40 + step);
+    (void)full.forward(x, /*train=*/true);
+    (void)params_only.forward(x, /*train=*/true);
+    (void)full.backward(g);
+    params_only.backward_params(g);
+    ASSERT_EQ(full.weight_grad().size(), params_only.weight_grad().size());
+    EXPECT_EQ(0, std::memcmp(full.weight_grad().data(),
+                             params_only.weight_grad().data(),
+                             full.weight_grad().size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(full.bias_grad().data(),
+                             params_only.bias_grad().data(),
+                             full.bias_grad().size() * sizeof(float)));
+  }
 }
 
 TEST(TiedDense, ForwardUsesTransposedSourceWeight) {
