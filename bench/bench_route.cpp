@@ -253,10 +253,10 @@ CellMeasurement run_remote_cell(const serve::ModelStore& store,
   try {
     std::vector<std::unique_ptr<serve::QueryBackend>> backends;
     std::vector<serve::remote::RemoteBackend*> raw;
-    // Pipelined client by default: the remote cell's job is to measure
-    // the wire tax at the transport's best configuration, not at the
-    // serial one-RPC-at-a-time floor. Env knobs let CI and check_bench
-    // shrink the window when hunting a regression.
+    // Wide window by default: the remote cell's job is to measure the
+    // wire tax at the transport's best configuration, not at the
+    // one-frame-in-flight floor. Env knobs let CI and check_bench shrink
+    // the window when hunting a regression.
     const int pool = util::env_int_strict("SAFELOC_ROUTE_REMOTE_POOL", 2);
     const int window = util::env_int_strict("SAFELOC_ROUTE_REMOTE_WINDOW", 32);
     const int batch = util::env_int_strict("SAFELOC_ROUTE_REMOTE_BATCH", 16);

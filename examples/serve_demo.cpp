@@ -35,10 +35,10 @@
 //                                     fleet may still be binding sockets)
 //   SAFELOC_SERVE_POOL                connections per shard (1)
 //   SAFELOC_SERVE_WINDOW              query frames in flight per connection
-//                                     before submit blocks (1 = serial)
+//                                     (1)
 //   SAFELOC_SERVE_BATCH               queued queries coalesced per frame (1)
-// Any of pool/window/batch > 1 switches the RemoteBackends to pipelined
-// mode; results stay bit-identical, only the wire scheduling changes.
+// Raising pool/window/batch overlaps and coalesces more queries on the
+// wire; results stay bit-identical, only the wire scheduling changes.
 //
 // Telemetry: after serving, the fleet-merged metrics registry is printed
 // (per-stage latency histograms, gate attribution counters) and, when

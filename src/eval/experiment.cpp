@@ -109,14 +109,4 @@ AttackOutcome Experiment::run_attack(fl::FederatedFramework& framework,
   return run_scenario(framework, scenario);
 }
 
-AttackOutcome run_full_experiment(fl::FederatedFramework& framework,
-                                  int building_id,
-                                  const attack::AttackConfig& attack,
-                                  int server_epochs, int rounds,
-                                  std::uint64_t seed) {
-  const Experiment experiment(building_id, seed);
-  experiment.pretrain(framework, server_epochs);
-  return experiment.run_attack(framework, attack, rounds);
-}
-
 }  // namespace safeloc::eval

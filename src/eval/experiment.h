@@ -107,14 +107,4 @@ class Experiment {
   std::uint64_t seed_;
 };
 
-/// Back-compat shim predating the ScenarioEngine: pretrains the given
-/// framework and runs one attack scenario. New drivers should declare an
-/// engine::ScenarioSpec and go through engine::ScenarioEngine::run, which
-/// adds snapshot reuse across cells, parallel grid execution, and
-/// structured reports.
-[[nodiscard]] AttackOutcome run_full_experiment(
-    fl::FederatedFramework& framework, int building_id,
-    const attack::AttackConfig& attack, int server_epochs, int rounds,
-    std::uint64_t seed = 0x5afe10cULL);
-
 }  // namespace safeloc::eval

@@ -37,12 +37,12 @@ struct StageTimings {
   double wire_deserialize_us = 0.0;
 };
 
-/// How a query's completion ended. Synchronous backends throw instead and
-/// always complete kOk; a pipelined RemoteBackend has already returned
-/// from submit() when a reply (or the connection) fails, so the failure
-/// rides the callback here. Client-side only — never serialized by the
-/// single-query wire codec (batch replies carry a per-entry ok/error pair
-/// on the wire instead).
+/// How a query's completion ended. Local backends (QueryEngine,
+/// SyncBackend) throw instead and always complete kOk; RemoteBackend has
+/// already returned from submit() when a reply (or the connection) fails,
+/// so the failure rides the callback here. Client-side only — never
+/// serialized (batch replies carry a per-entry ok/error pair on the wire
+/// instead).
 enum class QueryOutcome : std::uint8_t {
   kOk = 0,
   /// The shard examined the query and refused it (undeployed building,
@@ -138,9 +138,9 @@ class QueryBackend {
   [[nodiscard]] virtual std::size_t deployed_model_count() const = 0;
 
   /// Enqueues one query; `done` runs after the forward pass (possibly on
-  /// the calling thread for synchronous backends). Throws
+  /// the calling thread for synchronous backends). A local backend throws
   /// std::invalid_argument for an undeployed building or a wrong-width
-  /// fingerprint.
+  /// fingerprint; RemoteBackend completes `done` with kRefused instead.
   virtual void submit(int building, std::vector<float> fingerprint,
                       Callback done) = 0;
 

@@ -306,32 +306,20 @@ void RemoteBackend::flush_locked(std::vector<Pending>* failed_pending) const {
     }
 
     const auto encode_start = std::chrono::steady_clock::now();
-    MessageType type;
-    std::string payload;
-    if (take == 1) {
-      QueryRequest query;
-      query.building = taken[0].building;
-      query.fingerprint = std::move(taken[0].fingerprint);
-      type = MessageType::kQuery;
-      payload = encode_query(query);
-      taken[0].fingerprint = std::move(query.fingerprint);
-    } else {
-      std::vector<QueryRequest> batch(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch[i].building = taken[i].building;
-        batch[i].fingerprint = std::move(taken[i].fingerprint);
-      }
-      type = MessageType::kQueryBatch;
-      payload = encode_query_batch(batch);
-      for (std::size_t i = 0; i < take; ++i) {
-        taken[i].fingerprint = std::move(batch[i].fingerprint);
-      }
+    std::vector<QueryRequest> batch(take);
+    for (std::size_t i = 0; i < take; ++i) {
+      batch[i].building = taken[i].building;
+      batch[i].fingerprint = std::move(taken[i].fingerprint);
+    }
+    const std::string payload = encode_query_batch(batch);
+    for (std::size_t i = 0; i < take; ++i) {
+      taken[i].fingerprint = std::move(batch[i].fingerprint);
     }
     const double serialize_us = us_since(encode_start);
 
     const std::uint64_t cid = conn->next_cid++;
     try {
-      send_frame(conn->socket, type, payload, cid);
+      send_frame(conn->socket, MessageType::kQueryBatch, payload, cid);
     } catch (const SocketError&) {
       // The frame never fully reached the peer (a partial write is a torn
       // frame the server drops, never executes), so these queries may be
@@ -348,7 +336,7 @@ void RemoteBackend::flush_locked(std::vector<Pending>* failed_pending) const {
     }
 
     Pending pending;
-    pending.kind = take == 1 ? Pending::Kind::kQuery : Pending::Kind::kBatch;
+    pending.kind = Pending::Kind::kBatch;
     pending.completions.reserve(take);
     for (Queued& entry : taken) {
       pending.completions.push_back(
@@ -479,28 +467,10 @@ void RemoteBackend::complete_query(Pending pending, Frame frame) const {
   [&] {
     try {
       if (frame.type == MessageType::kError) {
-        // The server refused the whole frame (it could not even decode it,
-        // or refused the lone query) — every rider fails the same way.
+        // The server refused the whole frame (it could not decode it) —
+        // every rider fails the same way.
         const ErrorReply error = decode_error(frame.payload);
         fail_all(outcome_for_error(error), error.message);
-        return;
-      }
-      if (pending.kind == Pending::Kind::kQuery) {
-        if (frame.type != MessageType::kQueryReply) {
-          fail_all(QueryOutcome::kUnavailable,
-                   "RemoteBackend: unexpected reply type to query");
-          return;
-        }
-        const auto decode_start = std::chrono::steady_clock::now();
-        QueryResult result = decode_query_reply(frame.payload);
-        const double deserialize_us = us_since(decode_start);
-        wire_deserialize_hist_->record(deserialize_us);
-        result.stages.wire_serialize_us = pending.serialize_us;
-        result.stages.wire_rpc_us = rpc_us;
-        result.stages.wire_deserialize_us = deserialize_us;
-        Pending::Completion& completion = pending.completions.front();
-        result.latency_us = us_since(completion.submitted);
-        if (completion.done) completion.done(std::move(result));
         return;
       }
       if (frame.type != MessageType::kQueryBatchReply) {
@@ -628,49 +598,8 @@ std::size_t RemoteBackend::deployed_model_count() const {
   return static_cast<std::size_t>(shard_stats().resident_models);
 }
 
-void RemoteBackend::submit_serial(int building,
-                                  std::vector<float> fingerprint,
-                                  Callback done) {
-  QueryRequest query;
-  query.building = building;
-  query.fingerprint = std::move(fingerprint);
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::string payload = encode_query(query);
-  const double serialize_us = us_since(t0);
-
-  const auto t1 = std::chrono::steady_clock::now();
-  const Frame reply = rpc(MessageType::kQuery, payload);
-  const double rpc_us = us_since(t1);
-  if (reply.type != MessageType::kQueryReply) {
-    throw WireError("RemoteBackend: unexpected reply to query");
-  }
-
-  const auto t2 = std::chrono::steady_clock::now();
-  QueryResult result = decode_query_reply(reply.payload);
-  const double deserialize_us = us_since(t2);
-
-  // The wire legs layer on top of whatever the remote engine reported in
-  // its own stage fields (queue_wait/batch_form/infer crossed the wire
-  // inside the reply).
-  result.stages.wire_serialize_us = serialize_us;
-  result.stages.wire_rpc_us = rpc_us;
-  result.stages.wire_deserialize_us = deserialize_us;
-  result.latency_us = us_since(t0);
-  wire_serialize_hist_->record(serialize_us);
-  wire_rpc_hist_->record(rpc_us);
-  wire_deserialize_hist_->record(deserialize_us);
-  if (done) done(std::move(result));
-}
-
 void RemoteBackend::submit(int building, std::vector<float> fingerprint,
                            Callback done) {
-  if (!pipelined()) {
-    // Serial mode: block for the reply on the calling thread and rethrow
-    // refusals — the pre-pipelining contract, byte-for-byte.
-    submit_serial(building, std::move(fingerprint), std::move(done));
-    return;
-  }
-
   const auto submitted = std::chrono::steady_clock::now();
   std::vector<Pending> failed;
   bool deliver = false;

@@ -11,23 +11,19 @@
 // seam backend.h promised ("a shard can live behind a wire without the
 // front door noticing").
 //
-// Two serving modes, selected by config:
-//
-//   * Serial (the default: pool_size = 1, max_in_flight = 1, max_batch =
-//     1). submit() blocks for its own reply and completes the callback on
-//     the calling thread, exactly like SyncBackend; refusals re-raise as
-//     the local exception. Bit-identical to the pre-pipelining client.
-//   * Pipelined (any knob > 1). submit() enqueues the query, sends it as
-//     soon as a window slot is free (coalescing up to max_batch queued
-//     queries into one kQueryBatch frame), and returns; the reader thread
-//     completes the callback when the reply lands. Failures cannot throw
-//     into a caller that already returned, so they complete the callback
-//     with QueryResult::outcome = kRefused / kUnavailable instead — the
-//     service maps both to Response::kFailed.
+// One query path. submit() enqueues the query, sends it as soon as a
+// window slot is free (coalescing up to max_batch queued queries into one
+// kQueryBatch frame; a lone query is a batch of one), and returns; the
+// reader thread completes the callback when the reply lands. With
+// max_batch = 1, submit() also blocks until its own frame is on the wire,
+// so a full window pushes back on the caller. Failures cannot throw into a
+// caller that already returned, so they complete the callback with
+// QueryResult::outcome = kRefused / kUnavailable instead — the service
+// maps both to Response::kFailed.
 //
 // Control RPCs (stage/commit/abort/stats/health) always block for their
-// own reply regardless of mode; the 2PC publish path keeps its strict
-// ordering because each step completes before the next is issued.
+// own reply; the 2PC publish path keeps its strict ordering because each
+// step completes before the next is issued.
 //
 // Failure semantics, mapped onto the backend contract:
 //   * Transport failures fail the whole connection: every pending
@@ -41,7 +37,10 @@
 //   * Connect failures after the retry budget throw BackendUnavailable
 //     from submit() — the service converts these to Response::kFailed and
 //     the rest of the fleet keeps serving.
-//   * kError replies to blocked callers re-raise as the exception the
+//   * A query the shard refuses (undeployed building, wrong width)
+//     completes with outcome kRefused; submit() never throws
+//     std::invalid_argument.
+//   * kError replies to control RPCs re-raise as the exception the
 //     local backend would have thrown: std::invalid_argument (refused
 //     request), std::logic_error (commit with nothing staged), WireError
 //     otherwise.
@@ -78,11 +77,12 @@ struct RemoteBackendConfig {
   std::chrono::milliseconds retry_backoff{100};
   /// Connections kept to the shard; queries round-robin across them.
   int pool_size = 1;
-  /// Query frames allowed in flight per connection before submit blocks.
-  /// 1 = serial mode (see header comment).
+  /// Query frames allowed in flight per connection; queries submitted past
+  /// the window wait in the client's queue.
   int max_in_flight = 1;
   /// Queued queries coalesced into one kQueryBatch frame when a window
-  /// slot frees up. 1 sends plain kQuery frames only.
+  /// slot frees up. 1 sends one query per frame and makes submit() wait
+  /// for a window slot (see header comment).
   std::size_t max_batch = 1;
 };
 
@@ -131,12 +131,12 @@ class RemoteBackend final : public QueryBackend {
   /// One completion slot in a connection's demux map, keyed by correlation
   /// id. Exactly one member is active, per `kind`.
   struct Pending {
-    enum class Kind { kRpc, kQuery, kBatch };
+    enum class Kind { kRpc, kBatch };
     Kind kind = Kind::kRpc;
     /// kRpc: a blocked caller waits on this future for the raw reply.
     std::shared_ptr<std::promise<Frame>> reply;
-    /// kQuery / kBatch: completion callbacks in request order, each with
-    /// its submit timestamp (for latency_us).
+    /// kBatch: completion callbacks in request order, each with its submit
+    /// timestamp (for latency_us).
     struct Completion {
       Callback done;
       std::chrono::steady_clock::time_point submitted;
@@ -175,10 +175,6 @@ class RemoteBackend final : public QueryBackend {
     std::chrono::steady_clock::time_point submitted;
   };
 
-  [[nodiscard]] bool pipelined() const noexcept {
-    return config_.pool_size > 1 || config_.max_in_flight > 1 ||
-           config_.max_batch > 1;
-  }
   [[nodiscard]] std::size_t queue_cap() const noexcept;
 
   /// Reconnects every dead/missing pool slot (reaping the old reader
@@ -204,8 +200,8 @@ class RemoteBackend final : public QueryBackend {
                             std::vector<Queued> queued,
                             const std::string& reason) const
       SAFELOC_EXCLUDES(mutex_);
-  /// Completes a kQuery/kBatch Pending from its reply frame: decode,
-  /// wire-leg histograms, callbacks. Called without the lock held; same
+  /// Completes a kBatch Pending from its reply frame: decode, wire-leg
+  /// histograms, callbacks. Called without the lock held; same
   /// completing_ contract as complete_unavailable.
   void complete_query(Pending pending, Frame frame) const
       SAFELOC_EXCLUDES(mutex_);
@@ -233,10 +229,6 @@ class RemoteBackend final : public QueryBackend {
   /// connection is live. kError replies re-raise per the map above.
   Frame rpc(MessageType type, const std::string& payload) const
       SAFELOC_EXCLUDES(mutex_);
-  /// Serial-mode query: one windowed RPC, callback completed on the
-  /// calling thread before submit returns, refusals rethrown.
-  void submit_serial(int building, std::vector<float> fingerprint,
-                     Callback done);
   /// Reader-thread body: demultiplex replies on `conn` until EOF/failure.
   void reader_loop(std::shared_ptr<Conn> conn) const;
   /// Dispatches one reply frame to its Pending. Returns false when the
@@ -263,7 +255,7 @@ class RemoteBackend final : public QueryBackend {
   /// alone would let drain() return mid-callback.
   mutable std::size_t completing_ SAFELOC_GUARDED_BY(mutex_) = 0;
 
-  /// Wire-leg histograms are recorded for kQuery submits only (publish and
+  /// Wire-leg histograms are recorded for query frames only (publish and
   /// stats RPCs would pollute the serving-stage view); the net.* counters
   /// cover every RPC — they are the degradation-attribution signal.
   mutable telemetry::MetricsRegistry metrics_;

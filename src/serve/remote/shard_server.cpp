@@ -186,62 +186,6 @@ void ShardServer::writer_loop(const std::shared_ptr<Connection>& conn) {
   }
 }
 
-void ShardServer::serve_query(const std::shared_ptr<Connection>& conn,
-                              const Frame& request) {
-  const std::uint64_t cid = request.correlation_id;
-  QueryRequest query;
-  try {
-    query = decode_query(request.payload);
-  } catch (const std::exception& skew) {
-    Frame reply;
-    reply.type = MessageType::kError;
-    reply.correlation_id = cid;
-    reply.payload = encode_error({"runtime_error", skew.what()});
-    enqueue_reply(conn, std::move(reply));
-    return;
-  }
-  {
-    const sync::MutexLock lock(conn->mutex);
-    conn->outstanding += 1;
-  }
-  try {
-    engine_.submit(
-        query.building, std::move(query.fingerprint),
-        [this, conn, cid](QueryResult result) {
-          queries_served_.fetch_add(1, std::memory_order_relaxed);
-          Frame reply;
-          reply.type = MessageType::kQueryReply;
-          reply.correlation_id = cid;
-          reply.payload = encode_query_reply(result);
-          {
-            const sync::MutexLock lock(conn->mutex);
-            if (!conn->write_failed) {
-              conn->write_queue.push_back(std::move(reply));
-            }
-            conn->outstanding -= 1;
-            conn->cv.notify_all();
-          }
-        });
-  } catch (const std::exception& refused) {
-    // The engine refused synchronously (undeployed building, wrong width,
-    // stopped engine) — no callback will run.
-    Frame reply;
-    reply.type = MessageType::kError;
-    reply.correlation_id = cid;
-    const char* kind =
-        dynamic_cast<const std::invalid_argument*>(&refused) != nullptr
-            ? "invalid_argument"
-            : "runtime_error";
-    reply.payload = encode_error({kind, refused.what()});
-    {
-      const sync::MutexLock lock(conn->mutex);
-      if (!conn->write_failed) conn->write_queue.push_back(std::move(reply));
-      conn->outstanding -= 1;
-      conn->cv.notify_all();
-    }
-  }
-}
-
 void ShardServer::serve_query_batch(const std::shared_ptr<Connection>& conn,
                                     const Frame& request) {
   const std::uint64_t cid = request.correlation_id;
@@ -341,10 +285,6 @@ void ShardServer::serve_connection(std::shared_ptr<Socket> client) {
     }
     if (got == FrameReader::Next::kEof) break;  // clean disconnect
     if (got == FrameReader::Next::kTimeout) break;  // idle past io_timeout
-    if (request.type == MessageType::kQuery) {
-      serve_query(conn, request);
-      continue;
-    }
     if (request.type == MessageType::kQueryBatch) {
       serve_query_batch(conn, request);
       continue;

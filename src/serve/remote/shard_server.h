@@ -142,17 +142,13 @@ class ShardServer {
   /// Queues one reply frame for the writer (dropped after write failure).
   static void enqueue_reply(const std::shared_ptr<Connection>& conn,
                             Frame reply);
-  /// Hands one kQuery to the engine; the completion callback enqueues the
-  /// tagged reply. Never throws — refusals become kError replies.
-  void serve_query(const std::shared_ptr<Connection>& conn,
-                   const Frame& request);
   /// Fans one kQueryBatch out to the engine; the LAST completion encodes
   /// the kQueryBatchReply (entries in request order) and enqueues it.
   void serve_query_batch(const std::shared_ptr<Connection>& conn,
                          const Frame& request);
   /// Builds the reply for one control request (publish/stats/health/
-  /// shutdown; never kQuery/kQueryBatch). Never throws; failures become
-  /// kError replies.
+  /// shutdown; never kQueryBatch). Never throws; failures — including an
+  /// unknown or retired message type — become kError replies.
   Frame handle_control(const Frame& request);
 
   ShardServerConfig config_;

@@ -225,9 +225,8 @@ FrameReader::Next FrameReader::next(Frame& frame) {
 
 namespace {
 
-// Stream-level query/result layouts, shared verbatim between the
-// single-query codecs and the batch codecs so a query crossing the wire
-// inside a kQueryBatch is byte-identical to one in its own kQuery frame.
+// Stream-level layouts of one query and one result inside the batch
+// codecs.
 
 void write_query(std::ostream& out, const QueryRequest& query) {
   write_pod(out, static_cast<std::int32_t>(query.building));
@@ -302,32 +301,6 @@ ErrorReply read_error(std::istream& in) {
 }
 
 }  // namespace
-
-std::string encode_query(const QueryRequest& query) {
-  std::ostringstream out(std::ios::binary);
-  write_query(out, query);
-  return std::move(out).str();
-}
-
-QueryRequest decode_query(const std::string& payload) {
-  std::istringstream in(payload, std::ios::binary);
-  QueryRequest query = read_query(in);
-  util::expect_exhausted(in, kContext);
-  return query;
-}
-
-std::string encode_query_reply(const QueryResult& result) {
-  std::ostringstream out(std::ios::binary);
-  write_query_result(out, result);
-  return std::move(out).str();
-}
-
-QueryResult decode_query_reply(const std::string& payload) {
-  std::istringstream in(payload, std::ios::binary);
-  QueryResult result = read_query_result(in);
-  util::expect_exhausted(in, kContext);
-  return result;
-}
 
 std::string encode_query_batch(const std::vector<QueryRequest>& batch) {
   if (batch.size() > kMaxBatchQueries) {

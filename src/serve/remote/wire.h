@@ -25,8 +25,7 @@
 // by correlation id — never by arrival order.
 //
 //   request          reply             payload (request / reply)
-//   kQuery           kQueryReply       building + fingerprint / QueryResult
-//   kQueryBatch      kQueryBatchReply  N coalesced queries / N ok-or-error
+//   kQueryBatch      kQueryBatchReply  N >= 1 queries / N ok-or-error
 //                                      entries, request order preserved
 //   kPublishStage    kPublishReply     format tag + ModelRecord / empty
 //   kPublishCommit   kPublishReply     building + version / empty
@@ -60,12 +59,15 @@
 namespace safeloc::serve::remote {
 
 inline constexpr std::uint32_t kWireMagic = 0x53465250;  // "SFRP"
-/// v3: the header grew a correlation id (replies may arrive out of order)
-/// and kQueryBatch/kQueryBatchReply coalesce pipelined queries into one
-/// frame. v2 added StageTimings on query replies and the telemetry
+/// v4: the single-query request and reply messages (types 1 and 2) are
+/// gone — every query travels in a kQueryBatch, a lone one as a batch of
+/// one; a server answers type 1 or 2 with kError. v3: the header grew a
+/// correlation id (replies may arrive out of order) and
+/// kQueryBatch/kQueryBatchReply coalesce pipelined queries into one frame.
+/// v2 added StageTimings on query replies and the telemetry
 /// RegistrySnapshot on stats replies. Strict equality check — SFRP has no
 /// negotiation, a fleet upgrades atomically.
-inline constexpr std::uint16_t kWireVersion = 3;
+inline constexpr std::uint16_t kWireVersion = 4;
 /// Upper bound on one frame's payload. Generous for paper-scale model
 /// records (a few MiB); a length above it means a corrupt or hostile
 /// header, and reading it would be an allocation bomb.
@@ -79,9 +81,8 @@ class WireError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Numbers are never reused: 1 and 2 were the v3 single-query messages.
 enum class MessageType : std::uint16_t {
-  kQuery = 1,
-  kQueryReply = 2,
   kPublishStage = 3,
   kPublishCommit = 4,
   kPublishAbort = 5,
@@ -159,12 +160,6 @@ struct QueryRequest {
   std::vector<float> fingerprint;
 };
 
-[[nodiscard]] std::string encode_query(const QueryRequest& query);
-[[nodiscard]] QueryRequest decode_query(const std::string& payload);
-
-[[nodiscard]] std::string encode_query_reply(const QueryResult& result);
-[[nodiscard]] QueryResult decode_query_reply(const std::string& payload);
-
 /// kError payload: `kind` selects the client-side exception
 /// ("invalid_argument" | "logic_error" | anything else → WireError),
 /// `message` is the server-side what().
@@ -185,8 +180,7 @@ inline constexpr std::uint64_t kMaxBatchQueries = 4096;
 
 /// One entry of a kQueryBatchReply: queries inside a batch fail
 /// independently (undeployed building, wrong width), so each entry carries
-/// either a result or the kError payload that query would have gotten
-/// standalone.
+/// either a result or an ErrorReply naming the refusal.
 struct BatchReplyEntry {
   bool ok = false;
   QueryResult result;  // valid when ok

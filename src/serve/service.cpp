@@ -278,7 +278,7 @@ void LocalizationService::submit(Request request,
             trace_.record(std::move(trace));
           }
           if (result.outcome != QueryOutcome::kOk) {
-            // A pipelined backend had already accepted this query when the
+            // A remote backend had already accepted this query when the
             // shard failed it (connection lost mid-window, or a remote
             // refusal that a local backend would have thrown) — same
             // degradation contract as the synchronous BackendUnavailable
@@ -304,8 +304,9 @@ void LocalizationService::submit(Request request,
     // A dead shard must degrade the service, not take it down: the request
     // completes kFailed, the error is attributed to the shard in Stats,
     // and traffic routed elsewhere keeps flowing. (Validation errors —
-    // undeployed building, wrong-width fingerprint — still throw: those
-    // are caller bugs, not fleet health.)
+    // undeployed building, wrong-width fingerprint — still throw from a
+    // local backend: those are caller bugs, not fleet health. A remote
+    // backend reports them as kRefused through the callback above.)
     submitted_.fetch_add(1, std::memory_order_relaxed);
     failed_.fetch_add(1, std::memory_order_relaxed);
     shard_errors_[shard].fetch_add(1, std::memory_order_relaxed);

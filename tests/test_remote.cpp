@@ -104,6 +104,11 @@ class RemoteFixture : public ::testing::Test {
     config.seed = 4096;
     return serve::TrafficGenerator(config);
   }
+
+  /// Serves through two remote shards with the given client window, kills
+  /// one mid-traffic and checks that the service degrades instead of
+  /// failing over or hanging.
+  static void kill_shard_mid_traffic(int max_in_flight, std::size_t max_batch);
 };
 
 // ---------------------------------------------------------------------------
@@ -112,7 +117,7 @@ class RemoteFixture : public ::testing::Test {
 
 TEST(Wire, FrameHeaderGoldenBytes) {
   // Pin the on-wire layout: 24-byte header, little-endian, magic "SFRP"
-  // (reads as "PRFS" in byte order), version 3 (correlation id at offset
+  // (reads as "PRFS" in byte order), version 4 (correlation id at offset
   // 8, payload length at offset 16). A layout change breaks cross-version
   // fleets and MUST show up as this golden failing.
   LocalPair pair;
@@ -122,7 +127,7 @@ TEST(Wire, FrameHeaderGoldenBytes) {
   pair.server.read_exact(raw, sizeof(raw));
   const unsigned char expected[26] = {
       0x50, 0x52, 0x46, 0x53,  // magic 0x53465250 LE
-      0x03, 0x00,              // version 3
+      0x04, 0x00,              // version 4
       0x09, 0x00,              // type kHealthRequest = 9
       0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // correlation id LE
       0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload_bytes = 2
@@ -132,8 +137,10 @@ TEST(Wire, FrameHeaderGoldenBytes) {
 
 TEST(Wire, CorrelationIdEchoesThroughRecvAndFrameReader) {
   LocalPair pair;
-  remote::send_frame(pair.client, remote::MessageType::kQuery, "x", 42);
-  remote::send_frame(pair.client, remote::MessageType::kQuery, "y", 7);
+  remote::send_frame(pair.client, remote::MessageType::kHealthRequest, "x",
+                     42);
+  remote::send_frame(pair.client, remote::MessageType::kHealthRequest, "y",
+                     7);
   remote::Frame frame;
   ASSERT_TRUE(remote::recv_frame(pair.server, frame));
   EXPECT_EQ(frame.correlation_id, 42u);
@@ -143,17 +150,18 @@ TEST(Wire, CorrelationIdEchoesThroughRecvAndFrameReader) {
   EXPECT_EQ(frame.correlation_id, 7u);
   EXPECT_EQ(frame.payload, "y");
   // A strict request/reply caller that never sets the id sends 0.
-  remote::send_frame(pair.client, remote::MessageType::kQuery, "z");
+  remote::send_frame(pair.client, remote::MessageType::kHealthRequest, "z");
   ASSERT_TRUE(remote::recv_frame(pair.server, frame));
   EXPECT_EQ(frame.correlation_id, 0u);
 }
 
 TEST(Wire, FrameRoundTripAndCleanEof) {
   LocalPair pair;
-  remote::send_frame(pair.client, remote::MessageType::kQuery, "payload");
+  remote::send_frame(pair.client, remote::MessageType::kHealthRequest,
+                     "payload");
   remote::Frame frame;
   ASSERT_TRUE(remote::recv_frame(pair.server, frame));
-  EXPECT_EQ(frame.type, remote::MessageType::kQuery);
+  EXPECT_EQ(frame.type, remote::MessageType::kHealthRequest);
   EXPECT_EQ(frame.payload, "payload");
 
   // Peer closing between frames is a clean disconnect, not an error.
@@ -189,7 +197,7 @@ TEST(Wire, RejectsBadMagicAndVersionMismatch) {
 
 TEST(Wire, RejectsOversizedPayloadHeader) {
   LocalPair pair;
-  unsigned char header[24] = {0x50, 0x52, 0x46, 0x53, 0x03, 0x00, 0x01, 0x00};
+  unsigned char header[24] = {0x50, 0x52, 0x46, 0x53, 0x04, 0x00, 0x09, 0x00};
   const std::uint64_t huge = remote::kMaxFrameBytes + 1;
   std::memcpy(header + 16, &huge, sizeof(huge));
   pair.client.write_all(header, sizeof(header));
@@ -203,7 +211,7 @@ TEST(Wire, TornFrameIsATransportErrorNotSilence) {
   // must throw (SocketError: torn frame), never hang or return a partial
   // frame as complete.
   LocalPair pair;
-  unsigned char header[24] = {0x50, 0x52, 0x46, 0x53, 0x03, 0x00, 0x01, 0x00};
+  unsigned char header[24] = {0x50, 0x52, 0x46, 0x53, 0x04, 0x00, 0x09, 0x00};
   const std::uint64_t promised = 100;
   std::memcpy(header + 16, &promised, sizeof(promised));
   pair.client.write_all(header, sizeof(header));
@@ -219,7 +227,7 @@ TEST(Wire, FrameReaderCoalescesFramesAndTellsIdleFromEof) {
   // Five frames land in the kernel buffer before the reader starts: the
   // buffered reader must hand them back one by one from a single fill.
   for (int i = 0; i < 5; ++i) {
-    remote::send_frame(pair.client, remote::MessageType::kQuery,
+    remote::send_frame(pair.client, remote::MessageType::kHealthRequest,
                        "payload" + std::to_string(i),
                        static_cast<std::uint64_t>(100 + i));
   }
@@ -243,8 +251,8 @@ TEST(Wire, FrameReaderThrowsOnTornOrStalledFrame) {
   {
     // EOF mid-frame: the peer promised 100 bytes and died after 10.
     LocalPair pair;
-    unsigned char header[24] = {0x50, 0x52, 0x46, 0x53, 0x03, 0x00,
-                                0x01, 0x00};
+    unsigned char header[24] = {0x50, 0x52, 0x46, 0x53, 0x04, 0x00,
+                                0x09, 0x00};
     const std::uint64_t promised = 100;
     std::memcpy(header + 16, &promised, sizeof(promised));
     pair.client.write_all(header, sizeof(header));
@@ -258,8 +266,8 @@ TEST(Wire, FrameReaderThrowsOnTornOrStalledFrame) {
     // Deadline expiry mid-frame: a stall inside a promised frame is a
     // transport error, never kTimeout (that would silently desync).
     LocalPair pair;
-    unsigned char header[24] = {0x50, 0x52, 0x46, 0x53, 0x03, 0x00,
-                                0x01, 0x00};
+    unsigned char header[24] = {0x50, 0x52, 0x46, 0x53, 0x04, 0x00,
+                                0x09, 0x00};
     const std::uint64_t promised = 100;
     std::memcpy(header + 16, &promised, sizeof(promised));
     pair.client.write_all(header, sizeof(header));
@@ -275,11 +283,15 @@ TEST(Wire, FrameReaderThrowsOnTornOrStalledFrame) {
 // ---------------------------------------------------------------------------
 
 TEST(Wire, QueryAndReplyCodecsRoundTrip) {
+  // A lone query travels as a batch of one: every field of the request
+  // and of the reply entry crosses the wire losslessly.
   remote::QueryRequest query;
   query.building = 2;
   query.fingerprint = {0.25f, -1.0f, 0.0f, 3.5f};
-  const remote::QueryRequest decoded_query =
-      remote::decode_query(remote::encode_query(query));
+  const std::vector<remote::QueryRequest> decoded_batch =
+      remote::decode_query_batch(remote::encode_query_batch({query}));
+  ASSERT_EQ(decoded_batch.size(), 1u);
+  const remote::QueryRequest& decoded_query = decoded_batch[0];
   EXPECT_EQ(decoded_query.building, 2);
   EXPECT_EQ(decoded_query.fingerprint, query.fingerprint);
 
@@ -296,8 +308,15 @@ TEST(Wire, QueryAndReplyCodecsRoundTrip) {
   result.stages.wire_serialize_us = 1.5;
   result.stages.wire_rpc_us = 90.0;
   result.stages.wire_deserialize_us = 2.25;
-  const serve::QueryResult decoded =
-      remote::decode_query_reply(remote::encode_query_reply(result));
+  remote::BatchReplyEntry entry;
+  entry.ok = true;
+  entry.result = result;
+  const std::vector<remote::BatchReplyEntry> round =
+      remote::decode_query_batch_reply(
+          remote::encode_query_batch_reply({entry}));
+  ASSERT_EQ(round.size(), 1u);
+  ASSERT_TRUE(round[0].ok);
+  const serve::QueryResult& decoded = round[0].result;
   EXPECT_EQ(decoded.rp, 17);
   EXPECT_DOUBLE_EQ(decoded.position.x, 3.25);
   EXPECT_DOUBLE_EQ(decoded.position.y, -8.5);
@@ -503,6 +522,7 @@ TEST_F(RemoteFixture, RemoteServingIsBitIdenticalToLocal) {
     serve::QueryResult remote_result, local_result;
     backend.submit(query.building, query.x,
                    [&](serve::QueryResult r) { remote_result = std::move(r); });
+    backend.drain();  // the reader thread completes the callback
     local.submit(query.building, query.x,
                  [&](serve::QueryResult r) { local_result = std::move(r); });
     // ServingNet inference is deterministic and the wire carries exact
@@ -519,9 +539,13 @@ TEST_F(RemoteFixture, RemoteServingIsBitIdenticalToLocal) {
     EXPECT_EQ(remote_result.model_version, 1u);
   }
 
-  // Refused requests come back as the exception the local backend throws.
-  EXPECT_THROW(backend.submit(99, generator.generate(1)[0].x, nullptr),
-               std::invalid_argument);
+  // A refused query completes kRefused through its callback; a refused
+  // control RPC comes back as the exception the local backend throws.
+  serve::QueryResult refused;
+  backend.submit(99, generator.generate(1)[0].x,
+                 [&](serve::QueryResult r) { refused = std::move(r); });
+  backend.drain();
+  EXPECT_EQ(refused.outcome, serve::QueryOutcome::kRefused);
   EXPECT_THROW(backend.commit_staged(2), std::logic_error);
 
   server.stop();
@@ -611,60 +635,40 @@ TEST_F(RemoteFixture, CrossShardPublishAbortsWhenOneShardRefuses) {
   server_b.stop();
 }
 
-TEST_F(RemoteFixture, KillingAShardMidTrafficDegradesButKeepsServing) {
-  remote::ShardServerConfig config_a;
-  config_a.address = unique_address("killA");
-  remote::ShardServer server_a(config_a);
-  server_a.start();
-  remote::ShardServerConfig config_b;
-  config_b.address = unique_address("killB");
-  auto server_b = std::make_unique<remote::ShardServer>(config_b);
-  server_b->start();
+TEST(ShardServer, RetiredAndUnknownFrameTypesGetErrorReplies) {
+  // Types 1 and 2 were v3's single-query messages; 99 was never assigned.
+  // Each must be answered with kError echoing its correlation id, and the
+  // connection must keep answering requests afterwards.
+  remote::ShardServerConfig config;
+  config.address = unique_address("hostile");
+  remote::ShardServer server(config);
+  server.start();
 
-  std::vector<std::unique_ptr<serve::QueryBackend>> shards;
-  shards.push_back(
-      std::make_unique<remote::RemoteBackend>(fast_client(config_a.address)));
-  shards.push_back(
-      std::make_unique<remote::RemoteBackend>(fast_client(config_b.address)));
-  serve::LocalizationService service(std::move(shards));
-  service.set_router(serve::make_router("round_robin"));
-  service.publish(record());  // replicated 2PC publish over the wire
-
-  serve::TrafficGenerator generator = traffic();
-  const auto stream = generator.generate(24);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(service.submit({2, stream[i].x}).get().status,
-              serve::Response::Status::kAnswered);
+  remote::Socket conn = remote::Socket::connect(config.address, 1000ms);
+  conn.set_io_timeout(5000ms);
+  const std::vector<std::pair<std::uint16_t, std::uint64_t>> probes = {
+      {1, 501}, {2, 502}, {99, 503}};
+  for (const auto& [type, cid] : probes) {
+    remote::send_frame(conn, static_cast<remote::MessageType>(type), "junk",
+                       cid);
+  }
+  for (const auto& [type, cid] : probes) {
+    remote::Frame reply;
+    ASSERT_TRUE(remote::recv_frame(conn, reply)) << "type " << type;
+    EXPECT_EQ(reply.type, remote::MessageType::kError) << "type " << type;
+    EXPECT_EQ(reply.correlation_id, cid) << "type " << type;
+    EXPECT_NE(remote::decode_error(reply.payload).message.find(
+                  "unexpected message type " + std::to_string(type)),
+              std::string::npos);
   }
 
-  // Kill shard B's process mid-traffic (server object destroyed: listener
-  // and live connections gone — the hard-kill shape, minus the SIGKILL).
-  server_b.reset();
-
-  std::size_t answered = 0, failed = 0;
-  for (std::size_t i = 8; i < 24; ++i) {
-    const serve::Response response = service.submit({2, stream[i].x}).get();
-    if (response.status == serve::Response::Status::kFailed) {
-      ++failed;
-      EXPECT_EQ(response.shard, 1);
-      EXPECT_FALSE(response.error.empty());
-    } else {
-      ++answered;
-      EXPECT_EQ(response.status, serve::Response::Status::kAnswered);
-      EXPECT_EQ(response.shard, 0);
-    }
-  }
-  // Round-robin: half of the post-kill queries routed to the dead shard
-  // and completed kFailed; shard A answered its half. No hang, no outage.
-  EXPECT_EQ(failed, 8u);
-  EXPECT_EQ(answered, 8u);
-  const serve::LocalizationService::Stats stats = service.stats();
-  EXPECT_EQ(stats.failed, 8u);
-  ASSERT_EQ(stats.shard_errors.size(), 2u);
-  EXPECT_EQ(stats.shard_errors[0], 0u);
-  EXPECT_EQ(stats.shard_errors[1], 8u);
-
-  server_a.stop();
+  remote::send_frame(conn, remote::MessageType::kHealthRequest, "", 504);
+  remote::Frame health;
+  ASSERT_TRUE(remote::recv_frame(conn, health));
+  EXPECT_EQ(health.type, remote::MessageType::kHealthReply);
+  EXPECT_EQ(health.correlation_id, 504u);
+  EXPECT_EQ(remote::decode_health_reply(health.payload).shard_count, 1u);
+  server.stop();
 }
 
 TEST_F(RemoteFixture, RequestShutdownStopsTheServerCleanly) {
@@ -702,6 +706,7 @@ TEST_F(RemoteFixture, TcpTransportServesOnKernelAssignedPort) {
     serve::QueryResult result;
     backend.submit(query.building, query.x,
                    [&](serve::QueryResult r) { result = std::move(r); });
+    backend.drain();
     EXPECT_EQ(result.building, 2);
     EXPECT_GE(result.rp, 0);
   }
@@ -712,16 +717,22 @@ TEST_F(RemoteFixture, TcpTransportServesOnKernelAssignedPort) {
 // Pipelining: demux, window backpressure, failure semantics
 // ---------------------------------------------------------------------------
 
-/// Decodes a kQuery frame and replies with rp = fingerprint[0] — a shard
-/// impersonator's way of proving which reply answered which request.
+/// Decodes a kQueryBatch frame and answers each entry with rp =
+/// fingerprint[0] — a shard impersonator's way of proving which reply
+/// answered which request.
 void reply_with_fingerprint_rp(remote::Socket& conn,
                                const remote::Frame& request) {
-  serve::QueryResult result;
-  result.building = 2;
-  result.rp = static_cast<int>(
-      remote::decode_query(request.payload).fingerprint.at(0));
-  remote::send_frame(conn, remote::MessageType::kQueryReply,
-                     remote::encode_query_reply(result),
+  std::vector<remote::BatchReplyEntry> entries;
+  for (const remote::QueryRequest& query :
+       remote::decode_query_batch(request.payload)) {
+    remote::BatchReplyEntry entry;
+    entry.ok = true;
+    entry.result.building = 2;
+    entry.result.rp = static_cast<int>(query.fingerprint.at(0));
+    entries.push_back(std::move(entry));
+  }
+  remote::send_frame(conn, remote::MessageType::kQueryBatchReply,
+                     remote::encode_query_batch_reply(entries),
                      request.correlation_id);
 }
 
@@ -829,7 +840,7 @@ TEST(Pipelining, ConnectionLossFailsEveryInFlightQueryAndNeverResends) {
     remote::Frame frame;
     while (remote::recv_frame(conn, frame)) {
       second_connection_rps.push_back(static_cast<int>(
-          remote::decode_query(frame.payload).fingerprint.at(0)));
+          remote::decode_query_batch(frame.payload).at(0).fingerprint.at(0)));
       reply_with_fingerprint_rp(conn, frame);
     }
   });
@@ -866,13 +877,13 @@ TEST(Pipelining, ConnectionLossFailsEveryInFlightQueryAndNeverResends) {
   EXPECT_EQ(second_connection_rps, std::vector<int>{40});
 }
 
-TEST_F(RemoteFixture, PipelinedServingIsBitIdenticalToSerialAndLocal) {
+TEST_F(RemoteFixture, WindowOneAndPipelinedServingAreBitIdenticalToLocal) {
   remote::ShardServerConfig server_config;
   server_config.address = unique_address("pipeident");
   remote::ShardServer server(server_config);
   server.start();
 
-  remote::RemoteBackend serial(fast_client(server_config.address));
+  remote::RemoteBackend window_one(fast_client(server_config.address));
   remote::RemoteBackendConfig pipelined_config =
       fast_client(server_config.address);
   pipelined_config.pool_size = 2;
@@ -880,7 +891,7 @@ TEST_F(RemoteFixture, PipelinedServingIsBitIdenticalToSerialAndLocal) {
   pipelined_config.max_batch = 4;
   remote::RemoteBackend pipelined(pipelined_config);
   serve::SyncBackend local;
-  serial.deploy(record());  // one server: the pipelined client shares it
+  window_one.deploy(record());  // one server: the pipelined client shares it
   local.deploy(record());
 
   serve::TrafficGenerator generator = traffic();
@@ -895,16 +906,18 @@ TEST_F(RemoteFixture, PipelinedServingIsBitIdenticalToSerialAndLocal) {
   pipelined.drain();
 
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    serve::QueryResult serial_result, local_result;
-    serial.submit(stream[i].building, stream[i].x,
-                  [&](serve::QueryResult r) { serial_result = std::move(r); });
+    serve::QueryResult window_one_result, local_result;
+    window_one.submit(
+        stream[i].building, stream[i].x,
+        [&](serve::QueryResult r) { window_one_result = std::move(r); });
+    window_one.drain();
     local.submit(stream[i].building, stream[i].x,
                  [&](serve::QueryResult r) { local_result = std::move(r); });
     EXPECT_EQ(piped[i].outcome, serve::QueryOutcome::kOk);
-    // Pipelined, serial, and local all produce the same bits: batching and
-    // out-of-order completion change scheduling, never answers.
+    // Pipelined, window-1, and local all produce the same bits: batching
+    // and out-of-order completion change scheduling, never answers.
     EXPECT_EQ(piped[i].rp, local_result.rp);
-    EXPECT_EQ(piped[i].rp, serial_result.rp);
+    EXPECT_EQ(piped[i].rp, window_one_result.rp);
     EXPECT_EQ(piped[i].position.x, local_result.position.x);
     EXPECT_EQ(piped[i].position.y, local_result.position.y);
     ASSERT_EQ(piped[i].top_k.size(), local_result.top_k.size());
@@ -925,31 +938,33 @@ TEST_F(RemoteFixture, PipelinedServingIsBitIdenticalToSerialAndLocal) {
   server.stop();
 }
 
-TEST_F(RemoteFixture, PipelinedClientDegradesWhenShardDiesMidTraffic) {
-  // The pipelined flavour of KillingAShardMidTraffic: failures arrive via
-  // QueryOutcome on the callback (submit already returned) and the service
-  // must map them to Response::kFailed with per-shard attribution.
+void RemoteFixture::kill_shard_mid_traffic(int max_in_flight,
+                                           std::size_t max_batch) {
+  // Failures arrive via QueryOutcome on the callback (submit already
+  // returned) or as BackendUnavailable from a submit that cannot
+  // reconnect; either way the service must map them to Response::kFailed
+  // with per-shard attribution.
   remote::ShardServerConfig config_a;
-  config_a.address = unique_address("pkillA");
+  config_a.address = unique_address("killA");
   remote::ShardServer server_a(config_a);
   server_a.start();
   remote::ShardServerConfig config_b;
-  config_b.address = unique_address("pkillB");
+  config_b.address = unique_address("killB");
   auto server_b = std::make_unique<remote::ShardServer>(config_b);
   server_b->start();
 
-  const auto pipelined = [this](const std::string& address) {
+  const auto client = [&](const std::string& address) {
     remote::RemoteBackendConfig config = fast_client(address);
-    config.max_in_flight = 8;
-    config.max_batch = 4;
+    config.max_in_flight = max_in_flight;
+    config.max_batch = max_batch;
     return std::make_unique<remote::RemoteBackend>(config);
   };
   std::vector<std::unique_ptr<serve::QueryBackend>> shards;
-  shards.push_back(pipelined(config_a.address));
-  shards.push_back(pipelined(config_b.address));
+  shards.push_back(client(config_a.address));
+  shards.push_back(client(config_b.address));
   serve::LocalizationService service(std::move(shards));
   service.set_router(serve::make_router("round_robin"));
-  service.publish(record());
+  service.publish(record());  // replicated 2PC publish over the wire
 
   serve::TrafficGenerator generator = traffic();
   const auto stream = generator.generate(24);
@@ -957,7 +972,9 @@ TEST_F(RemoteFixture, PipelinedClientDegradesWhenShardDiesMidTraffic) {
     EXPECT_EQ(service.submit({2, stream[i].x}).get().status,
               serve::Response::Status::kAnswered);
   }
-  server_b.reset();  // hard-kill shard B with the window open
+  // Kill shard B's process mid-traffic (server object destroyed: listener
+  // and live connections gone — the hard-kill shape, minus the SIGKILL).
+  server_b.reset();
 
   std::size_t answered = 0, failed = 0;
   for (std::size_t i = 8; i < 24; ++i) {
@@ -972,6 +989,8 @@ TEST_F(RemoteFixture, PipelinedClientDegradesWhenShardDiesMidTraffic) {
       EXPECT_EQ(response.shard, 0);
     }
   }
+  // Round-robin: half of the post-kill queries routed to the dead shard
+  // and completed kFailed; shard A answered its half. No hang, no outage.
   EXPECT_EQ(failed, 8u);
   EXPECT_EQ(answered, 8u);
   const serve::LocalizationService::Stats stats = service.stats();
@@ -980,6 +999,16 @@ TEST_F(RemoteFixture, PipelinedClientDegradesWhenShardDiesMidTraffic) {
   EXPECT_EQ(stats.shard_errors[0], 0u);
   EXPECT_EQ(stats.shard_errors[1], 8u);
   server_a.stop();
+}
+
+TEST_F(RemoteFixture, KillingAShardMidTrafficDegradesButKeepsServing) {
+  kill_shard_mid_traffic(/*max_in_flight=*/1, /*max_batch=*/1);
+}
+
+TEST_F(RemoteFixture, PipelinedClientDegradesWhenShardDiesMidTraffic) {
+  // The same kill with the window open: queries are in flight and batched
+  // when shard B goes away.
+  kill_shard_mid_traffic(/*max_in_flight=*/8, /*max_batch=*/4);
 }
 
 }  // namespace
