@@ -331,9 +331,10 @@ int main(int argc, char** argv) {
     json += ",\"variants_us\":{";
     for (std::size_t v = 0; v < kernel.variant_us.size(); ++v) {
       if (v > 0) json += ',';
-      json += "\"" +
-              std::string(nn::simd::variant_name(kernel.variant_us[v].first)) +
-              "\":" + num(kernel.variant_us[v].second);
+      json += '"';
+      json += nn::simd::variant_name(kernel.variant_us[v].first);
+      json += "\":";
+      json += num(kernel.variant_us[v].second);
     }
     json += "}}";
   }

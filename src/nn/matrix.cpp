@@ -51,7 +51,14 @@ Matrix Matrix::slice_rows(std::size_t begin, std::size_t end) const {
 }
 
 std::string Matrix::shape_string() const {
-  return "(" + std::to_string(rows_) + "x" + std::to_string(cols_) + ")";
+  // Appended piece by piece: GCC 12 reports a false -Wrestrict on the
+  // `"(" + std::string&&` chain once it is inlined.
+  std::string shape = "(";
+  shape += std::to_string(rows_);
+  shape += 'x';
+  shape += std::to_string(cols_);
+  shape += ')';
+  return shape;
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
@@ -63,12 +70,6 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
   prepare_gemm_out(a, b, out);
   simd::gemm_naive_scalar(a.data(), b.data(), out.data(), a.rows(), a.cols(),
-                          b.cols());
-}
-
-void matmul_into_blocked(const Matrix& a, const Matrix& b, Matrix& out) {
-  prepare_gemm_out(a, b, out);
-  simd::gemm_tiled_scalar(a.data(), b.data(), out.data(), a.rows(), a.cols(),
                           b.cols());
 }
 

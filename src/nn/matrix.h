@@ -80,25 +80,16 @@ class Matrix {
 /// to matmul() (same kernel). `out` must not alias `a` or `b`.
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// Blocked/tiled C = A * B with the same contract as matmul_into. Tiles B
-/// into (kc x nc) panels reused across all rows of A, bounding B traffic
-/// to one cache fill per panel — the regime that pays is B far larger than
-/// the cache it would otherwise stream from. At the paper's serving shapes
-/// B is cache-resident and the naive kernel's zero-skip (ReLU activations
-/// are ~50% zeros) wins instead; bench_serve's kernel table reports both.
-/// Bit-identical to matmul_into: tiles are visited in ascending-k order
-/// and the k loop is ascending within a tile, so every output element
-/// accumulates its products in exactly the order matmul_into uses.
-void matmul_into_blocked(const Matrix& a, const Matrix& b, Matrix& out);
-
 /// The inference hot-loop entry point: runs the CPUID-selected SIMD kernel
 /// variant (simd::active_variant(); SAFELOC_KERNEL=scalar|sse2|avx2|auto
 /// overrides). Every variant accumulates in the scalar kernel's order and is
 /// exhaustively bitwise-tested against it, so dispatch never changes
 /// results. Each variant additionally switches to an L1-tiled loop when B's
 /// footprint exceeds kBlockedGemmBytes (B would stream from memory every
-/// call) — the scalar variant's behavior is exactly the historical
-/// matmul_into / matmul_into_blocked split.
+/// call): (kc x nc) panels of B, reused across all rows of A, visited in
+/// ascending-k order, so the tiled loop stays bit-identical to
+/// matmul_into. Below that footprint B is cache-resident and the streaming
+/// loop's zero-skip (ReLU activations are ~50% zeros) wins instead.
 inline constexpr std::size_t kBlockedGemmBytes = simd::kGemmTileBytes;
 void matmul_into_auto(const Matrix& a, const Matrix& b, Matrix& out);
 

@@ -72,15 +72,15 @@ struct KernelTable {
 inline constexpr std::size_t kGemmTileBytes = 8u << 20;
 
 // ---- Scalar reference kernels -------------------------------------------
-// Exposed raw so nn::matmul_into / matmul_into_blocked stay thin wrappers
-// over the exact loops the SIMD variants are tested against.
+// Exposed raw so nn::matmul_into stays a thin wrapper over the exact loop
+// the SIMD variants are tested against.
 
 /// Streaming ikj zero-skip GEMM (the historical nn::matmul_into loop).
 void gemm_naive_scalar(const float* a, const float* b, float* c,
                        std::size_t m, std::size_t k, std::size_t n);
 
-/// L1-tiled GEMM: (kc x nc) panels of B visited in ascending-k order (the
-/// historical nn::matmul_into_blocked loop).
+/// L1-tiled GEMM: (kc x nc) panels of B visited in ascending-k order — the
+/// scalar variant's gemm above kGemmTileBytes.
 void gemm_tiled_scalar(const float* a, const float* b, float* c,
                        std::size_t m, std::size_t k, std::size_t n);
 

@@ -1,6 +1,6 @@
 // Scalar reference kernels — the bitwise ground truth every SIMD variant is
-// tested against. The gemm loops are the historical nn::matmul_into /
-// matmul_into_blocked bodies, moved here so there is exactly one source of
+// tested against. The gemm loops are the historical nn::matmul_into
+// streaming and tiled bodies, moved here so there is exactly one source of
 // truth for the accumulation order.
 #include "src/nn/simd/kernels.h"
 

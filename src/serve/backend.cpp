@@ -29,6 +29,32 @@ DeployedModel make_deployed_model(const ModelRecord& record,
   return deployed;
 }
 
+QueryResult failed_result(QueryOutcome outcome, std::string error) {
+  QueryResult result;
+  result.outcome = outcome;
+  result.error = std::move(error);
+  return result;
+}
+
+bool refuse_query(const char* context, const DeployedModel* model,
+                  int building, std::size_t width,
+                  const QueryBackend::Callback& done) {
+  std::string refusal;
+  if (model == nullptr) {
+    refusal = "no model deployed for building " + std::to_string(building);
+  } else if (width != model->net.input_dim()) {
+    refusal = "expected " + std::to_string(model->net.input_dim()) +
+              "-dim fingerprint, got " + std::to_string(width);
+  } else {
+    return false;
+  }
+  if (done) {
+    done(failed_result(QueryOutcome::kRefused,
+                       std::string(context) + ": " + refusal));
+  }
+  return true;
+}
+
 void QueryBackend::deploy(const ModelRecord& record) {
   stage(record);
   commit_staged(record.provenance.building);
@@ -85,18 +111,11 @@ void SyncBackend::submit(int building, std::vector<float> fingerprint,
   {
     const sync::MutexLock lock(mutex_);
     const auto it = snapshots_.find(building);
-    if (it == snapshots_.end()) {
-      throw std::invalid_argument(
-          "SyncBackend::submit: no model deployed for building " +
-          std::to_string(building));
-    }
-    snapshot = it->second;
+    if (it != snapshots_.end()) snapshot = it->second;
   }
-  if (fingerprint.size() != snapshot->net.input_dim()) {
-    throw std::invalid_argument(
-        "SyncBackend::submit: expected " +
-        std::to_string(snapshot->net.input_dim()) + "-dim fingerprint, got " +
-        std::to_string(fingerprint.size()));
+  if (refuse_query("SyncBackend::submit", snapshot.get(), building,
+                   fingerprint.size(), done)) {
+    return;
   }
 
   QueryResult result;

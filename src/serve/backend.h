@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/rss/building.h"
@@ -37,20 +38,17 @@ struct StageTimings {
   double wire_deserialize_us = 0.0;
 };
 
-/// How a query's completion ended. Local backends (QueryEngine,
-/// SyncBackend) throw instead and always complete kOk; RemoteBackend has
-/// already returned from submit() when a reply (or the connection) fails,
-/// so the failure rides the callback here. Client-side only — never
-/// serialized (batch replies carry a per-entry ok/error pair on the wire
-/// instead).
+/// How a query ended — the one way any backend reports a per-query
+/// failure: submit() never throws for one, it completes the callback with
+/// a non-kOk outcome and `error` set. Client-side only, never serialized
+/// (batch replies carry a per-entry ok/error pair on the wire instead).
 enum class QueryOutcome : std::uint8_t {
   kOk = 0,
-  /// The shard examined the query and refused it (undeployed building,
-  /// wrong-width fingerprint) — the remote analogue of the
-  /// std::invalid_argument a local backend throws.
+  /// The backend examined the query and refused it: no model deployed for
+  /// the building, or a fingerprint of the wrong width.
   kRefused = 1,
-  /// The shard became unreachable with this query in flight — the remote
-  /// analogue of BackendUnavailable.
+  /// The backend could not run the query: engine stopped, or shard
+  /// unreachable / connection lost with the query in flight.
   kUnavailable = 2,
 };
 
@@ -68,8 +66,8 @@ struct QueryResult {
   double latency_us = 0.0;
   /// Where latency_us went, stage by stage.
   StageTimings stages;
-  /// kOk unless an asynchronous backend failed this query after submit()
-  /// returned; LocalizationService maps non-kOk to Response::kFailed.
+  /// kOk unless the backend refused or could not run the query;
+  /// LocalizationService maps non-kOk to Response::kFailed.
   QueryOutcome outcome = QueryOutcome::kOk;
   /// Failure detail when outcome != kOk.
   std::string error;
@@ -89,11 +87,14 @@ struct DeployedModel {
 [[nodiscard]] DeployedModel make_deployed_model(const ModelRecord& record,
                                                 const char* context);
 
-/// Thrown by a backend whose executor is unreachable (remote shard process
-/// down, connection lost, engine shut down) — as opposed to
-/// std::invalid_argument for a request the backend examined and refused.
-/// LocalizationService converts this into a Response::Status::kFailed
-/// instead of letting one dead shard take the whole service down.
+/// A failed query's result: `outcome` (never kOk) and `error`, nothing else.
+[[nodiscard]] QueryResult failed_result(QueryOutcome outcome,
+                                        std::string error);
+
+/// Thrown by a control operation (stage, commit, stats, health, rpc) whose
+/// executor is unreachable — remote shard process down, connection lost —
+/// as opposed to std::invalid_argument for a request the backend examined
+/// and refused. Queries never throw it; they complete kUnavailable.
 class BackendUnavailable : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -137,10 +138,11 @@ class QueryBackend {
   /// signal (a partitioned shard holds O(owned buildings), not O(all)).
   [[nodiscard]] virtual std::size_t deployed_model_count() const = 0;
 
-  /// Enqueues one query; `done` runs after the forward pass (possibly on
-  /// the calling thread for synchronous backends). A local backend throws
-  /// std::invalid_argument for an undeployed building or a wrong-width
-  /// fingerprint; RemoteBackend completes `done` with kRefused instead.
+  /// Enqueues one query. `done` runs exactly once: with kOk after the
+  /// forward pass, kRefused for an undeployed building or a wrong-width
+  /// fingerprint, kUnavailable when the backend cannot run it. It may run
+  /// on the calling thread before submit() returns. Never throws for a
+  /// per-query failure.
   virtual void submit(int building, std::vector<float> fingerprint,
                       Callback done) = 0;
 
@@ -161,6 +163,14 @@ class QueryBackend {
     return {};
   }
 };
+
+/// The refusal check every local backend runs before accepting a query:
+/// when `model` (null when none is deployed for `building`) cannot answer
+/// a `width`-dim fingerprint, completes `done` kRefused with an error
+/// prefixed by `context` and returns true.
+bool refuse_query(const char* context, const DeployedModel* model,
+                  int building, std::size_t width,
+                  const QueryBackend::Callback& done);
 
 /// Answers every query inline on the calling thread: one single-row forward
 /// through the deployed snapshot, callback completed before submit()

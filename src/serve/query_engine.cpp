@@ -96,35 +96,35 @@ void QueryEngine::submit(int building, std::vector<float> fingerprint,
   {
     const auto snapshots = table();
     const auto it = snapshots->find(building);
-    if (it == snapshots->end()) {
-      throw std::invalid_argument("QueryEngine::submit: no model deployed "
-                                  "for building " +
-                                  std::to_string(building));
-    }
-    if (fingerprint.size() != it->second->net.input_dim()) {
-      throw std::invalid_argument(
-          "QueryEngine::submit: expected " +
-          std::to_string(it->second->net.input_dim()) +
-          "-dim fingerprint, got " + std::to_string(fingerprint.size()));
+    if (refuse_query("QueryEngine::submit",
+                     it == snapshots->end() ? nullptr : it->second.get(),
+                     building, fingerprint.size(), done)) {
+      return;
     }
   }
-  Pending pending;
-  pending.building = building;
-  pending.x = std::move(fingerprint);
-  pending.done = std::move(done);
-  pending.enqueued = std::chrono::steady_clock::now();
+  const auto enqueued = std::chrono::steady_clock::now();
   std::size_t depth = 0;
+  bool stopped = false;
   {
     const sync::MutexLock lock(queue_mutex_);
     space_cv_.wait(queue_mutex_, [this] {
       queue_mutex_.assert_held();  // lambda body: capability not propagated
       return stop_ || queue_.size() < config_.queue_capacity;
     });
-    if (stop_) {
-      throw BackendUnavailable("QueryEngine::submit: engine is shut down");
+    stopped = stop_;
+    if (!stopped) {
+      queue_.push_back({building, std::move(fingerprint), std::move(done),
+                        enqueued});
+      depth = queue_.size() + in_flight_;
     }
-    queue_.push_back(std::move(pending));
-    depth = queue_.size() + in_flight_;
+  }
+  if (stopped) {
+    // Completed outside the lock: the callback may submit again.
+    if (done) {
+      done(failed_result(QueryOutcome::kUnavailable,
+                         "QueryEngine::submit: engine is shut down"));
+    }
+    return;
   }
   queue_cv_.notify_one();
   // Depth as this query saw it — the buildup signal the histogram's tail

@@ -76,9 +76,10 @@ class QueryEngine final : public QueryBackend {
   [[nodiscard]] std::size_t deployed_model_count() const override;
 
   /// Enqueues one query; `done` runs on a worker thread after the batched
-  /// forward pass. Throws std::invalid_argument for an undeployed building
-  /// or a wrong-width fingerprint; blocks briefly when the queue is full,
-  /// throws BackendUnavailable after stop().
+  /// forward pass. Blocks briefly when the queue is full. Never throws for
+  /// the query: an undeployed building or a wrong-width fingerprint
+  /// completes kRefused, a submit after stop() kUnavailable, both on the
+  /// calling thread before submit() returns.
   void submit(int building, std::vector<float> fingerprint,
               Callback done) override;
 

@@ -36,6 +36,16 @@ double us_since(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
+/// Completes one query with a failure `outcome`.
+void complete_failed(const QueryBackend::Callback& done,
+                     std::chrono::steady_clock::time_point submitted,
+                     QueryOutcome outcome, std::string error) {
+  if (!done) return;
+  QueryResult result = failed_result(outcome, std::move(error));
+  result.latency_us = us_since(submitted);
+  done(std::move(result));
+}
+
 }  // namespace
 
 RemoteBackend::RemoteBackend(RemoteBackendConfig config)
@@ -168,20 +178,14 @@ void RemoteBackend::complete_unavailable(std::vector<Pending> pending,
       entry.reply->set_exception(exception);
       continue;
     }
-    for (Pending::Completion& completion : entry.completions) {
-      QueryResult result;
-      result.outcome = QueryOutcome::kUnavailable;
-      result.error = reason;
-      result.latency_us = us_since(completion.submitted);
-      if (completion.done) completion.done(std::move(result));
+    for (const Pending::Completion& completion : entry.completions) {
+      complete_failed(completion.done, completion.submitted,
+                      QueryOutcome::kUnavailable, reason);
     }
   }
-  for (Queued& entry : queued) {
-    QueryResult result;
-    result.outcome = QueryOutcome::kUnavailable;
-    result.error = reason;
-    result.latency_us = us_since(entry.submitted);
-    if (entry.done) entry.done(std::move(result));
+  for (const Queued& entry : queued) {
+    complete_failed(entry.done, entry.submitted, QueryOutcome::kUnavailable,
+                    reason);
   }
   const sync::MutexLock lock(mutex_);
   completing_ -= 1;
@@ -453,12 +457,8 @@ void RemoteBackend::complete_query(Pending pending, Frame frame) const {
   wire_rpc_hist_->record(rpc_us);
 
   const auto fail_all = [&](QueryOutcome outcome, const std::string& error) {
-    for (Pending::Completion& completion : pending.completions) {
-      QueryResult result;
-      result.outcome = outcome;
-      result.error = error;
-      result.latency_us = us_since(completion.submitted);
-      if (completion.done) completion.done(std::move(result));
+    for (const Pending::Completion& completion : pending.completions) {
+      complete_failed(completion.done, completion.submitted, outcome, error);
     }
   };
 
@@ -489,17 +489,17 @@ void RemoteBackend::complete_query(Pending pending, Frame frame) const {
         return;
       }
       for (std::size_t i = 0; i < entries.size(); ++i) {
-        Pending::Completion& completion = pending.completions[i];
-        QueryResult result;
-        if (entries[i].ok) {
-          result = std::move(entries[i].result);
-          result.stages.wire_serialize_us = pending.serialize_us;
-          result.stages.wire_rpc_us = rpc_us;
-          result.stages.wire_deserialize_us = deserialize_us;
-        } else {
-          result.outcome = outcome_for_error(entries[i].error);
-          result.error = std::move(entries[i].error.message);
+        const Pending::Completion& completion = pending.completions[i];
+        if (!entries[i].ok) {
+          complete_failed(completion.done, completion.submitted,
+                          outcome_for_error(entries[i].error),
+                          std::move(entries[i].error.message));
+          continue;
         }
+        QueryResult result = std::move(entries[i].result);
+        result.stages.wire_serialize_us = pending.serialize_us;
+        result.stages.wire_rpc_us = rpc_us;
+        result.stages.wire_deserialize_us = deserialize_us;
         result.latency_us = us_since(completion.submitted);
         if (completion.done) completion.done(std::move(result));
       }
@@ -600,28 +600,36 @@ std::size_t RemoteBackend::deployed_model_count() const {
 
 void RemoteBackend::submit(int building, std::vector<float> fingerprint,
                            Callback done) {
-  const auto submitted = std::chrono::steady_clock::now();
+  Queued entry;
+  entry.building = building;
+  entry.fingerprint = std::move(fingerprint);
+  entry.done = std::move(done);
+  entry.submitted = std::chrono::steady_clock::now();
   std::vector<Pending> failed;
   bool deliver = false;
   {
     const sync::MutexLock lock(mutex_);
-    if (stopping_) throw BackendUnavailable("RemoteBackend: stopped");
-    // Throws synchronously when the shard is unreachable — this query is
-    // not queued yet, so the service's BackendUnavailable catch handles it.
-    ensure_pool();
     cv_.wait(mutex_, [this] {
       mutex_.assert_held();  // lambda body: capability not propagated
       return stopping_ || queue_.size() < queue_cap();
     });
-    if (stopping_) throw BackendUnavailable("RemoteBackend: stopped");
+    if (stopping_) {
+      std::vector<Queued> stopped;
+      stopped.push_back(std::move(entry));
+      completing_ += 1;
+      const sync::ReleasableLock unlocked(mutex_);
+      complete_unavailable({}, std::move(stopped), "RemoteBackend: stopped");
+      return;
+    }
     const std::uint64_t seq = next_seq_++;
-    Queued entry;
-    entry.building = building;
-    entry.fingerprint = std::move(fingerprint);
-    entry.done = std::move(done);
     entry.seq = seq;
-    entry.submitted = submitted;
     queue_.push_back(std::move(entry));
+    try {
+      ensure_pool();
+    } catch (const BackendUnavailable&) {
+      // The shard is unreachable: ensure_pool failed every queued query,
+      // this one included, through its callback.
+    }
     flush_locked(&failed);
 
     if (config_.max_batch <= 1) {

@@ -16,30 +16,32 @@
 // kQueryBatch frame; a lone query is a batch of one), and returns; the
 // reader thread completes the callback when the reply lands. With
 // max_batch = 1, submit() also blocks until its own frame is on the wire,
-// so a full window pushes back on the caller. Failures cannot throw into a
-// caller that already returned, so they complete the callback with
-// QueryResult::outcome = kRefused / kUnavailable instead — the service
-// maps both to Response::kFailed.
+// so a full window pushes back on the caller. Like every QueryBackend,
+// submit() never throws for a query: a failure completes the callback with
+// QueryResult::outcome = kRefused / kUnavailable, on whichever thread sees
+// it (the reader, or the submitter itself when the shard cannot be
+// reached).
 //
 // Control RPCs (stage/commit/abort/stats/health) always block for their
 // own reply; the 2PC publish path keeps its strict ordering because each
 // step completes before the next is issued.
 //
 // Failure semantics, mapped onto the backend contract:
-//   * Transport failures fail the whole connection: every pending
-//     completion on it resolves kUnavailable (or throws BackendUnavailable
-//     for blocked callers) — never silently dropped — and the next submit
+//   * Transport failures fail the whole connection: every pending query
+//     on it completes kUnavailable and every blocked control RPC throws
+//     BackendUnavailable — never silently dropped — and the next submit
 //     reconnects from scratch. A frame that was sent is NEVER re-sent: the
 //     client cannot know whether the server executed it, and blind re-send
 //     could double-execute a publish step. (Queries still queued
 //     client-side were never on the wire, so they may be flushed to a
 //     fresh connection safely.)
-//   * Connect failures after the retry budget throw BackendUnavailable
-//     from submit() — the service converts these to Response::kFailed and
-//     the rest of the fleet keeps serving.
+//   * Connect failures after the retry budget complete every queued
+//     query kUnavailable (the submitting one included) and throw
+//     BackendUnavailable from a control RPC; the service turns the failed
+//     queries into Response::kFailed and the rest of the fleet keeps
+//     serving.
 //   * A query the shard refuses (undeployed building, wrong width)
-//     completes with outcome kRefused; submit() never throws
-//     std::invalid_argument.
+//     completes kRefused.
 //   * kError replies to control RPCs re-raise as the exception the
 //     local backend would have thrown: std::invalid_argument (refused
 //     request), std::logic_error (commit with nothing staged), WireError

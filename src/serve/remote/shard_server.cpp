@@ -245,24 +245,23 @@ void ShardServer::serve_query_batch(const std::shared_ptr<Connection>& conn,
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
     BatchReplyEntry* entry = &state->entries[i];
-    try {
-      engine_.submit(batch[i].building, std::move(batch[i].fingerprint),
-                     [this, entry, finish_one](QueryResult result) {
-                       queries_served_.fetch_add(1,
-                                                 std::memory_order_relaxed);
-                       entry->ok = true;
-                       entry->result = std::move(result);
-                       finish_one();
-                     });
-    } catch (const std::exception& refused) {
-      entry->ok = false;
-      entry->error.kind =
-          dynamic_cast<const std::invalid_argument*>(&refused) != nullptr
-              ? "invalid_argument"
-              : "runtime_error";
-      entry->error.message = refused.what();
-      finish_one();
-    }
+    engine_.submit(
+        batch[i].building, std::move(batch[i].fingerprint),
+        [this, entry, finish_one](QueryResult result) {
+          entry->ok = result.outcome == QueryOutcome::kOk;
+          if (entry->ok) {
+            queries_served_.fetch_add(1, std::memory_order_relaxed);
+            entry->result = std::move(result);
+          } else {
+            // The error kinds the client maps back to kRefused and
+            // kUnavailable (remote_backend.cpp outcome_for_error).
+            entry->error.kind = result.outcome == QueryOutcome::kRefused
+                                    ? "invalid_argument"
+                                    : "runtime_error";
+            entry->error.message = std::move(result.error);
+          }
+          finish_one();
+        });
   }
 }
 

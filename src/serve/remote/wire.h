@@ -34,12 +34,14 @@
 //   kHealthRequest   kHealthReply      empty / HealthInfo
 //   kShutdown        kShutdownAck      empty / empty (server exits after)
 //
-// Any request the server cannot honour is answered with kError carrying a
-// human-readable reason; the client maps it back to the exception the local
-// backend would have thrown (std::invalid_argument for refused requests,
-// WireError for protocol skew). Transport failures (refused connection,
-// timeout, torn frame) surface as SocketError and become
-// BackendUnavailable in RemoteBackend.
+// Any request the server cannot honour is answered with kError (a refused
+// query: an error entry in its batch reply) carrying an error kind and a
+// human-readable reason. The client maps a control error back to the
+// exception the local backend would have thrown (std::invalid_argument for
+// refused requests, WireError for protocol skew) and a query error to
+// QueryOutcome kRefused / kUnavailable. Transport failures (refused
+// connection, timeout, torn frame) surface as SocketError and become
+// kUnavailable queries / BackendUnavailable control calls in RemoteBackend.
 //
 // Hardening: recv_frame validates magic, version, and payload bound before
 // reading the payload; decoders run expect_exhausted so trailing bytes

@@ -250,98 +250,51 @@ void LocalizationService::submit(Request request,
       elapsed_us(admitted, std::chrono::steady_clock::now());
   routing_hist_->record(routing_us);
 
-  const bool flagged = response.flagged;
-  const int building = request.building;
-  const std::string admission_note =
-      flagged ? "flag:" + response.admission_test : "ok";
-  try {
-    // `done` is captured by copy: a backend that throws consumes the
-    // callback it was handed (it died inside a moved-from Pending / a torn
-    // RPC), so the failure path below needs its own handle to complete the
-    // request.
-    shards_[shard]->submit(
-        building, std::move(request.fingerprint),
-        [this, response = std::move(response), done, t0, seq, sampled,
-         admission_us, routing_us, building, shard,
-         admission_note](QueryResult result) mutable {
-          const double e2e_us =
-              elapsed_us(t0, std::chrono::steady_clock::now());
-          e2e_hist_->record(e2e_us);
-          if (sampled) {
-            telemetry::TraceRecord trace;
-            trace.request_seq = seq;
-            trace.building = building;
-            trace.shard = static_cast<int>(shard);
-            trace.admission = admission_note;
-            trace.spans =
-                build_spans(admission_us, routing_us, result.stages, e2e_us);
-            trace_.record(std::move(trace));
-          }
-          if (result.outcome != QueryOutcome::kOk) {
-            // A remote backend had already accepted this query when the
-            // shard failed it (connection lost mid-window, or a remote
-            // refusal that a local backend would have thrown) — same
-            // degradation contract as the synchronous BackendUnavailable
-            // path below, reached through the callback instead.
-            failed_.fetch_add(1, std::memory_order_relaxed);
-            shard_errors_[shard].fetch_add(1, std::memory_order_relaxed);
-            Response failure;
-            failure.status = Response::Status::kFailed;
-            failure.flagged = response.flagged;
-            failure.admission_score = response.admission_score;
-            failure.admission_policy = std::move(response.admission_policy);
-            failure.admission_test = std::move(response.admission_test);
-            failure.admission_reason = std::move(response.admission_reason);
-            failure.shard = static_cast<int>(shard);
-            failure.error = std::move(result.error);
-            if (done) done(std::move(failure));
-            return;
-          }
-          response.query = std::move(result);
-          if (done) done(std::move(response));
-        });
-  } catch (const BackendUnavailable& unavailable) {
-    // A dead shard must degrade the service, not take it down: the request
-    // completes kFailed, the error is attributed to the shard in Stats,
-    // and traffic routed elsewhere keeps flowing. (Validation errors —
-    // undeployed building, wrong-width fingerprint — still throw from a
-    // local backend: those are caller bugs, not fleet health. A remote
-    // backend reports them as kRefused through the callback above.)
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    shard_errors_[shard].fetch_add(1, std::memory_order_relaxed);
-    const double e2e_us = elapsed_us(t0, std::chrono::steady_clock::now());
-    e2e_hist_->record(e2e_us);
-    if (sampled) {
-      telemetry::TraceRecord trace;
-      trace.request_seq = seq;
-      trace.building = building;
-      trace.shard = static_cast<int>(shard);
-      trace.admission = admission_note;
-      trace.spans = build_spans(admission_us, routing_us, StageTimings{}, e2e_us);
-      trace_.record(std::move(trace));
-    }
-    Response failure;
-    failure.status = Response::Status::kFailed;
-    failure.flagged = flagged;
-    failure.shard = static_cast<int>(shard);
-    failure.error = unavailable.what();
-    if (done) done(std::move(failure));
-    return;
-  }
-  // Counted only after the shard accepted the query: a throwing submit
-  // (undeployed building, wrong width) must not skew stats with requests
-  // that never entered the fleet.
+  // Counted before the shard sees the query: the backend may complete it
+  // (answered or failed) on this thread before submit() returns, and a
+  // caller that got its response must find it in stats().
   submitted_.fetch_add(1, std::memory_order_relaxed);
   routed_[shard].fetch_add(1, std::memory_order_relaxed);
-  if (flagged) {
+  if (response.flagged) {
     flagged_.fetch_add(1, std::memory_order_relaxed);
-    if (admission_note == "flag:rce") {
+    if (response.admission_test == "rce") {
       flagged_rce_.fetch_add(1, std::memory_order_relaxed);
-    } else if (admission_note == "flag:envelope") {
+    } else if (response.admission_test == "envelope") {
       flagged_envelope_.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  const int building = request.building;
+  shards_[shard]->submit(
+      building, std::move(request.fingerprint),
+      [this, response = std::move(response), done = std::move(done), t0, seq,
+       sampled, admission_us, routing_us, building,
+       shard](QueryResult result) mutable {
+        const double e2e_us = elapsed_us(t0, std::chrono::steady_clock::now());
+        e2e_hist_->record(e2e_us);
+        if (sampled) {
+          telemetry::TraceRecord trace;
+          trace.request_seq = seq;
+          trace.building = building;
+          trace.shard = static_cast<int>(shard);
+          trace.admission =
+              response.flagged ? "flag:" + response.admission_test : "ok";
+          trace.spans =
+              build_spans(admission_us, routing_us, result.stages, e2e_us);
+          trace_.record(std::move(trace));
+        }
+        if (result.outcome != QueryOutcome::kOk) {
+          // A refused or unreachable query degrades the service instead of
+          // taking it down: the request completes kFailed, keeps its
+          // admission verdict, and the error is attributed to the shard.
+          failed_.fetch_add(1, std::memory_order_relaxed);
+          shard_errors_[shard].fetch_add(1, std::memory_order_relaxed);
+          response.status = Response::Status::kFailed;
+          response.error = std::move(result.error);
+        } else {
+          response.query = std::move(result);
+        }
+        if (done) done(std::move(response));
+      });
 }
 
 std::future<Response> LocalizationService::submit(Request request) {

@@ -74,8 +74,10 @@ struct Response {
   enum class Status {
     kAnswered,  ///< Routed and answered; `query` is valid.
     kRejected,  ///< Stopped by an admission policy; `query` is empty.
-    kFailed,    ///< Routed shard unreachable (BackendUnavailable); `query`
-                ///< is empty, `error` says why. Other shards keep serving.
+    kFailed,    ///< Routed shard refused the query or could not run it
+                ///< (QueryOutcome kRefused / kUnavailable); `query` is
+                ///< empty, `error` says why, the admission fields are kept.
+                ///< Other shards keep serving.
   };
   Status status = Status::kAnswered;
   /// Backend failure detail; set only for kFailed.
@@ -144,10 +146,10 @@ class LocalizationService {
   /// Version publish() last installed for `building`; 0 when none.
   [[nodiscard]] std::uint32_t published_version(int building) const;
 
-  /// Admission chain → router → shard. `done` runs after the forward pass
-  /// (immediately, on the calling thread, for rejections and synchronous
-  /// backends). Throws what the shard's submit throws (undeployed
-  /// building, wrong-width fingerprint).
+  /// Admission chain → router → shard. `done` runs exactly once: after the
+  /// forward pass, or kRejected / kFailed when admission or the shard stops
+  /// the request (possibly on the calling thread, before submit returns).
+  /// Never throws for a per-request failure.
   void submit(Request request, std::function<void(Response)> done);
 
   /// Future-returning convenience wrapper.
@@ -167,14 +169,16 @@ class LocalizationService {
   struct Stats {
     std::uint64_t submitted = 0;
     std::uint64_t rejected = 0;
-    /// Flagged but still answered.
+    /// Flagged but still routed (then answered or failed).
     std::uint64_t flagged = 0;
     /// Flag/reject attribution by PoisonGate test id ("rce" / "envelope"):
     /// which detector fired, not just that one did. Covers both rejected
     /// and flagged-but-answered requests.
     std::uint64_t flagged_rce = 0;
     std::uint64_t flagged_envelope = 0;
-    /// Submissions completed kFailed (shard unreachable).
+    /// Routed submissions completed kFailed: the shard refused the query
+    /// or could not run it. Each is also counted in `routed` and
+    /// `shard_errors`.
     std::uint64_t failed = 0;
     /// Queries routed to each shard.
     std::vector<std::uint64_t> routed;

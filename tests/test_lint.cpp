@@ -133,7 +133,9 @@ TEST(LintEngine, CatalogHasNineOrderedRules) {
   const auto& catalog = safeloc::lint::rule_catalog();
   ASSERT_EQ(catalog.size(), 9u);
   for (std::size_t i = 0; i < catalog.size(); ++i) {
-    EXPECT_EQ(catalog[i].id, "R" + std::to_string(i + 1));
+    std::string id = "R";
+    id += std::to_string(i + 1);
+    EXPECT_EQ(catalog[i].id, id);
     EXPECT_NE(std::string(catalog[i].fixit), "");
   }
 }

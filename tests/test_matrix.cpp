@@ -78,45 +78,17 @@ TEST(Matrix, Matmul) {
   EXPECT_FLOAT_EQ(c(1, 1), 154.0f);
 }
 
-TEST(Matrix, MatmulBlockedBitIdenticalToNaive) {
-  util::Rng rng(7);
-  // Shapes straddling the 64-wide tiles: below, at, above, and far above
-  // the block size, plus the serving hot-loop shapes (batch x 128 x 89).
-  const std::size_t shapes[][3] = {{1, 1, 1},    {3, 5, 2},    {64, 64, 64},
-                                   {65, 63, 66}, {17, 128, 89}, {256, 128, 89},
-                                   {2, 200, 130}};
-  for (const auto& [m, k, n] : shapes) {
-    Matrix a(m, k), b(k, n);
-    for (float& v : a.flat()) v = rng.uniform_f(-2.0f, 2.0f);
-    for (float& v : b.flat()) v = rng.uniform_f(-2.0f, 2.0f);
-    // Sprinkle zeros so the zero-skip path is exercised too.
-    for (std::size_t i = 0; i < a.size(); i += 7) a.flat()[i] = 0.0f;
-
-    Matrix naive, blocked;
-    matmul_into(a, b, naive);
-    matmul_into_blocked(a, b, blocked);
-    // Bit-identical, not just close: the blocked kernel preserves the
-    // per-element accumulation order.
-    EXPECT_EQ(blocked, naive) << m << "x" << k << "x" << n;
-  }
-}
-
-TEST(Matrix, MatmulBlockedReusesStorageAndChecksShapes) {
+TEST(Matrix, MatmulIntoAutoReusesStorageAndChecksShapes) {
   const Matrix a = filled(2, 3, 1.0f);
   const Matrix b = filled(3, 4, 0.0f);
   Matrix out(2, 4);
   const float* storage = out.data();
-  matmul_into_blocked(a, b, out);
+  matmul_into_auto(a, b, out);
   EXPECT_EQ(out.data(), storage);  // shape matched: no reallocation
   EXPECT_EQ(out, matmul(a, b));
 
   Matrix bad = filled(4, 2, 0.0f);
-  EXPECT_THROW(matmul_into_blocked(a, bad, out), std::invalid_argument);
-
-  // The dispatching entry point agrees with both (they are bit-identical).
-  Matrix dispatched;
-  matmul_into_auto(a, b, dispatched);
-  EXPECT_EQ(dispatched, out);
+  EXPECT_THROW(matmul_into_auto(a, bad, out), std::invalid_argument);
 }
 
 TEST(Matrix, MatmulShapeMismatchThrows) {

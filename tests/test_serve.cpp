@@ -358,13 +358,18 @@ TEST_F(ServeFixture, QueryEngineHotSwapsModelsWhileServing) {
 
 TEST_F(ServeFixture, QueryEngineValidatesSubmissions) {
   serve::QueryEngine engine({.workers = 1});
-  EXPECT_THROW((void)engine.submit(2, std::vector<float>(128, 0.0f)),
-               std::invalid_argument);  // nothing deployed
+  // A refusal completes the query kRefused on the calling thread.
+  const auto expect_refused = [&engine](int building, std::size_t width,
+                                        const char* what) {
+    const serve::QueryResult result =
+        engine.submit(building, std::vector<float>(width, 0.0f)).get();
+    EXPECT_EQ(result.outcome, serve::QueryOutcome::kRefused) << what;
+    EXPECT_FALSE(result.error.empty()) << what;
+  };
+  expect_refused(2, 128, "nothing deployed");
   engine.deploy(make_record());
-  EXPECT_THROW((void)engine.submit(2, std::vector<float>(7, 0.0f)),
-               std::invalid_argument);  // wrong width
-  EXPECT_THROW((void)engine.submit(4, std::vector<float>(128, 0.0f)),
-               std::invalid_argument);  // other building not deployed
+  expect_refused(2, 7, "wrong width");
+  expect_refused(4, 128, "other building not deployed");
   EXPECT_EQ(engine.deployed_version(4), 0u);
 }
 
@@ -392,10 +397,11 @@ TEST_F(ServeFixture, QueryEngineStopFlushesPartiallyFilledBatch) {
   EXPECT_EQ(engine.queue_depth(), 0u);
   EXPECT_EQ(engine.stats().queries, config.max_batch - 1);
 
-  // Idempotent, and the engine rejects submissions once stopped.
+  // Idempotent, and the engine fails submissions once stopped.
   engine.stop();
-  EXPECT_THROW((void)engine.submit(2, {row.begin(), row.end()}),
-               std::runtime_error);
+  const serve::QueryResult late =
+      engine.submit(2, {row.begin(), row.end()}).get();
+  EXPECT_EQ(late.outcome, serve::QueryOutcome::kUnavailable);
 }
 
 TEST_F(ServeFixture, QueryEngineDrainCompletesCallbacks) {

@@ -7,7 +7,9 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <sstream>
+#include <string>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -180,8 +182,12 @@ TEST_F(ServiceFixture, SubmitAnswersThroughRoutedShard) {
   EXPECT_EQ(service.stats().submitted, 9u);
   EXPECT_EQ(service.stats().rejected, 0u);
 
-  // Undeployed building propagates the backend's validation error.
-  EXPECT_THROW((void)service.submit({4, stream[0].x}), std::invalid_argument);
+  // Undeployed building: the shard's refusal completes kFailed, naming the
+  // building.
+  const serve::Response refused = service.submit({4, stream[0].x}).get();
+  EXPECT_EQ(refused.status, serve::Response::Status::kFailed);
+  EXPECT_NE(refused.error.find("building 4"), std::string::npos)
+      << refused.error;
 }
 
 TEST_F(ServiceFixture, PublishSwapsEveryShardAtomicallyByVersion) {
@@ -250,7 +256,8 @@ TEST_F(ServiceFixture, PublishDuringLiveTrafficNeverMixesUnknownVersions) {
 
 /// Delegating backend with two failure knobs: stage() refusal (the shard
 /// that breaks a fleet publish) and submit() unavailability (a dead remote
-/// shard). Everything else forwards to a real SyncBackend.
+/// shard, completing every query kUnavailable). Everything else forwards to
+/// a real SyncBackend.
 class FlakyBackend final : public serve::QueryBackend {
  public:
   bool fail_stage = false;
@@ -273,7 +280,9 @@ class FlakyBackend final : public serve::QueryBackend {
   void submit(int building, std::vector<float> fingerprint,
               Callback done) override {
     if (unavailable) {
-      throw serve::BackendUnavailable("FlakyBackend: shard down");
+      done(serve::failed_result(serve::QueryOutcome::kUnavailable,
+                                "FlakyBackend: shard down"));
+      return;
     }
     inner_.submit(building, std::move(fingerprint), std::move(done));
   }
@@ -350,6 +359,68 @@ TEST_F(ServiceFixture, DeadShardDegradesToFailedResponsesNotOutage) {
   EXPECT_EQ(stats.failed, 4u);
   ASSERT_EQ(stats.shard_errors.size(), 2u);
   EXPECT_EQ(stats.shard_errors[0], 0u);
+  EXPECT_EQ(stats.shard_errors[1], 4u);
+}
+
+/// Flags every request and admits it, attributing the flag to the
+/// "envelope" test so the per-test counters can be checked too.
+class FlagEverything final : public serve::AdmissionPolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "flag_everything"; }
+  [[nodiscard]] serve::AdmissionVerdict inspect(
+      int /*building*/, std::span<const float> /*fingerprint*/) override {
+    serve::AdmissionVerdict verdict;
+    verdict.action = serve::AdmissionVerdict::Action::kFlag;
+    verdict.score = 1.0;
+    verdict.test = "envelope";
+    verdict.reason = "flags everything";
+    return verdict;
+  }
+};
+
+TEST_F(ServiceFixture, FailedQueriesKeepTheirAdmissionVerdictAndAreCounted) {
+  // A flagged query whose shard fails is still a flagged, routed query:
+  // its kFailed response keeps the admission verdict, and Stats counts it
+  // exactly like a flagged query that was answered.
+  auto shards = sync_shards(1);
+  auto flaky = std::make_unique<FlakyBackend>();
+  FlakyBackend* flaky_view = flaky.get();
+  shards.push_back(std::move(flaky));
+  serve::LocalizationService service(std::move(shards));
+  service.set_router(serve::make_router("round_robin"));
+  service.add_admission(std::make_unique<FlagEverything>());
+  service.publish(record());
+
+  flaky_view->unavailable = true;
+  serve::TrafficGenerator generator = traffic(0.0);
+  std::size_t failed = 0;
+  for (const serve::TimedQuery& query : generator.generate(8)) {
+    const serve::Response response =
+        service.submit({query.building, query.x}).get();
+    EXPECT_TRUE(response.flagged);
+    EXPECT_EQ(response.admission_policy, "flag_everything");
+    EXPECT_EQ(response.admission_test, "envelope");
+    EXPECT_EQ(response.admission_reason, "flags everything");
+    EXPECT_EQ(response.admission_score, 1.0);
+    if (response.status == serve::Response::Status::kFailed) {
+      ++failed;
+      EXPECT_EQ(response.shard, 1);
+      EXPECT_NE(response.error.find("shard down"), std::string::npos);
+    } else {
+      EXPECT_EQ(response.status, serve::Response::Status::kAnswered);
+      EXPECT_EQ(response.shard, 0);
+    }
+  }
+  EXPECT_EQ(failed, 4u);
+  const serve::LocalizationService::Stats stats = service.stats();
+  EXPECT_EQ(stats.submitted, 8u);
+  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(stats.flagged, 8u);
+  EXPECT_EQ(stats.flagged_envelope, 8u);
+  EXPECT_EQ(stats.flagged_rce, 0u);
+  ASSERT_EQ(stats.routed.size(), 2u);
+  EXPECT_EQ(stats.routed[0], 4u);
+  EXPECT_EQ(stats.routed[1], 4u);
   EXPECT_EQ(stats.shard_errors[1], 4u);
 }
 

@@ -134,8 +134,9 @@ LexResult lex(std::string_view src) {
     if (c == 'R' && i + 1 < n && src[i + 1] == '"') {
       std::size_t j = i + 2;
       while (j < n && src[j] != '(') ++j;
-      const std::string closer =
-          ")" + std::string(src.substr(i + 2, j - (i + 2))) + "\"";
+      std::string closer = ")";
+      closer += src.substr(i + 2, j - (i + 2));
+      closer += '"';
       const std::size_t end = src.find(closer, j);
       const std::size_t stop =
           end == std::string_view::npos ? n : end + closer.size();
