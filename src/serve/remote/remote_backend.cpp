@@ -78,40 +78,33 @@ RemoteBackend::RemoteBackend(RemoteBackendConfig config)
     throw std::invalid_argument("RemoteBackend: max_batch out of range");
   }
   pool_.resize(static_cast<std::size_t>(config_.pool_size));
+  flusher_ = std::thread([this] { flusher_loop(); });
 }
 
 RemoteBackend::~RemoteBackend() {
-  std::vector<std::thread> readers;
   {
     const sync::MutexLock lock(mutex_);
     stopping_ = true;
+    cv_.notify_all();
+    flush_cv_.notify_all();
+  }
+  // The flusher finishes any write it is in and exits; after the join this
+  // thread is the only one left touching the pool's reader threads.
+  flusher_.join();
+  std::vector<std::thread> readers;
+  {
+    const sync::MutexLock lock(mutex_);
     for (auto& slot : pool_) {
       if (!slot) continue;
       slot->socket.shutdown();  // wake the reader blocked in recv
       if (slot->reader.joinable()) readers.push_back(std::move(slot->reader));
     }
-    cv_.notify_all();
   }
   for (std::thread& reader : readers) reader.join();
-  // Readers failed their connections' pendings on the way out; anything
-  // left (queued queries never flushed, pendings on a connection whose
-  // reader never started) completes here.
-  std::vector<Pending> leftover;
-  std::vector<Queued> orphans;
-  {
-    const sync::MutexLock lock(mutex_);
-    for (auto& slot : pool_) {
-      if (!slot) continue;
-      std::vector<Pending> failed = fail_conn_locked(*slot);
-      std::move(failed.begin(), failed.end(), std::back_inserter(leftover));
-    }
-    orphans.assign(std::make_move_iterator(queue_.begin()),
-                   std::make_move_iterator(queue_.end()));
-    queue_.clear();
-    completing_ += 1;
-  }
-  complete_unavailable(std::move(leftover), std::move(orphans),
-                       "RemoteBackend: backend destroyed");
+  // Each reader failed its connection's pendings on the way out; queued
+  // queries and control RPCs that were never sent complete here.
+  const sync::MutexLock lock(mutex_);
+  fail_queued_locked("RemoteBackend: backend destroyed");
 }
 
 std::size_t RemoteBackend::queue_cap() const noexcept {
@@ -134,12 +127,12 @@ std::size_t RemoteBackend::live_count_locked() const noexcept {
   return live;
 }
 
-RemoteBackend::Conn* RemoteBackend::pick_live_locked(
-    bool windowed) const noexcept {
+std::shared_ptr<RemoteBackend::Conn> RemoteBackend::pick_live_locked(
+    bool windowed) {
   const std::size_t n = pool_.size();
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t slot = (next_conn_ + i) % n;
-    Conn* conn = pool_[slot].get();
+    const std::shared_ptr<Conn>& conn = pool_[slot];
     if (!conn || conn->dead) continue;
     if (windowed &&
         conn->in_flight >=
@@ -153,24 +146,41 @@ RemoteBackend::Conn* RemoteBackend::pick_live_locked(
 }
 
 std::vector<RemoteBackend::Pending> RemoteBackend::fail_conn_locked(
-    Conn& conn) const {
+    Conn& conn) {
   conn.dead = true;
   conn.socket.shutdown();
   std::vector<Pending> failed;
   failed.reserve(conn.pending.size());
   for (auto& [cid, pending] : conn.pending) {
+    outstanding_ -= pending.completions.size();
     failed.push_back(std::move(pending));
   }
   conn.pending.clear();
   conn.in_flight = 0;
   pool_gauge_->set(static_cast<std::int64_t>(live_count_locked()));
   cv_.notify_all();
+  flush_cv_.notify_one();  // queued work now needs a reconnect
   return failed;
+}
+
+void RemoteBackend::fail_queued_locked(std::string reason) {
+  std::vector<Queued> queued(std::make_move_iterator(queue_.begin()),
+                             std::make_move_iterator(queue_.end()));
+  std::vector<Control> controls(std::make_move_iterator(control_.begin()),
+                                std::make_move_iterator(control_.end()));
+  queue_.clear();
+  control_.clear();
+  outstanding_ -= queued.size();
+  completing_ += 1;
+  cv_.notify_all();
+  const sync::ReleasableLock unlocked(mutex_);
+  complete_unavailable({}, std::move(queued), std::move(controls), reason);
 }
 
 void RemoteBackend::complete_unavailable(std::vector<Pending> pending,
                                          std::vector<Queued> queued,
-                                         const std::string& reason) const {
+                                         std::vector<Control> control,
+                                         const std::string& reason) {
   const auto exception =
       std::make_exception_ptr(BackendUnavailable(reason));
   for (Pending& entry : pending) {
@@ -187,47 +197,77 @@ void RemoteBackend::complete_unavailable(std::vector<Pending> pending,
     complete_failed(entry.done, entry.submitted, QueryOutcome::kUnavailable,
                     reason);
   }
+  for (Control& entry : control) entry.reply->set_exception(exception);
   const sync::MutexLock lock(mutex_);
   completing_ -= 1;
   cv_.notify_all();
 }
 
-void RemoteBackend::ensure_pool() const {
+void RemoteBackend::flusher_loop() {
+  const sync::MutexLock lock(mutex_);
   for (;;) {
-    if (stopping_) throw BackendUnavailable("RemoteBackend: stopped");
-    // Reap a dead connection's reader off-lock — it may be inside its own
-    // failure path waiting for this mutex.
-    std::shared_ptr<Conn> reap;
-    for (auto& slot : pool_) {
-      if (slot && slot->dead && slot->reader.joinable()) {
-        reap = slot;
-        break;
-      }
-    }
-    if (reap) {
-      std::thread dead_reader = std::move(reap->reader);
-      {
-        const sync::ReleasableLock unlocked(mutex_);
-        dead_reader.join();
-      }
-      continue;  // re-scan: state may have moved while unlocked
-    }
-    for (auto& slot : pool_) {
-      if (slot && slot->dead) slot.reset();
-    }
-    bool missing = false;
-    for (const auto& slot : pool_) {
-      if (!slot) missing = true;
-    }
-    if (!missing) return;
-    if (!connecting_) break;  // this thread connects
-    cv_.wait(mutex_, [this] {
+    flush_cv_.wait(mutex_, [this] {
       mutex_.assert_held();  // lambda body: capability not propagated
-      return !connecting_ || stopping_;
+      return stopping_ || flusher_has_work_locked();
     });
+    if (stopping_) return;
+    if (connect_due_locked() && !ensure_pool()) continue;
+    if (!control_.empty()) {
+      send_control_locked();
+    } else {
+      send_batch_locked();
+    }
+  }
+}
+
+bool RemoteBackend::connect_due_locked() const {
+  bool live = false;
+  bool empty = false;
+  for (const auto& slot : pool_) {
+    if (slot && !slot->dead) {
+      live = true;
+    } else {
+      empty = true;
+    }
+  }
+  return !live ||
+         (empty && std::chrono::steady_clock::now() >= reconnect_at_);
+}
+
+bool RemoteBackend::flusher_has_work_locked() const {
+  if (queue_.empty() && control_.empty()) return false;
+  if (connect_due_locked() || !control_.empty()) return true;
+  for (const auto& slot : pool_) {
+    if (slot && !slot->dead &&
+        slot->in_flight < static_cast<std::size_t>(config_.max_in_flight)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool RemoteBackend::ensure_pool() {
+  // Reap dead connections. Their readers may be inside their own failure
+  // path waiting for this mutex, so the joins run off-lock.
+  std::vector<std::shared_ptr<Conn>> dead;
+  for (auto& slot : pool_) {
+    if (slot && slot->dead) dead.push_back(std::move(slot));
+  }
+  if (!dead.empty()) {
+    const sync::ReleasableLock unlocked(mutex_);
+    for (const auto& conn : dead) {
+      if (conn->reader.joinable()) conn->reader.join();
+    }
+  }
+  if (std::chrono::steady_clock::now() < reconnect_at_) {
+    // The last budget failed moments ago: keep serving on what is live, or
+    // fail fast instead of spending another budget on a shard that just
+    // refused every attempt.
+    if (any_live_locked()) return true;
+    fail_queued_locked(connect_error_);
+    return false;
   }
 
-  connecting_ = true;
   std::vector<std::size_t> want;
   for (std::size_t i = 0; i < pool_.size(); ++i) {
     if (!pool_[i]) want.push_back(i);
@@ -243,7 +283,14 @@ void RemoteBackend::ensure_pool() const {
       for (int attempt = 0; attempt < config_.connect_retries; ++attempt) {
         if (attempt > 0) {
           connect_retries_->add();
-          std::this_thread::sleep_for(config_.retry_backoff);
+          // The backoff ends early when the backend is destroyed.
+          const sync::MutexLock relock(mutex_);
+          if (flush_cv_.wait_for(mutex_, config_.retry_backoff, [this] {
+                mutex_.assert_held();  // lambda body: not propagated
+                return stopping_;
+              })) {
+            break;
+          }
         }
         try {
           Socket socket =
@@ -263,105 +310,176 @@ void RemoteBackend::ensure_pool() const {
       fresh.emplace_back(slot, std::move(conn));
     }
   }
-  connecting_ = false;
-  cv_.notify_all();
-  if (stopping_) {
-    // The backend was destroyed out from under the connect attempt; the
-    // fresh sockets close with their shared_ptrs, no readers to clean up.
-    throw BackendUnavailable("RemoteBackend: stopped");
-  }
+  // Destroyed out from under the connect attempt: the fresh sockets close
+  // with their shared_ptrs, no readers to clean up.
+  if (stopping_) return false;
   for (auto& [slot, conn] : fresh) {
     std::shared_ptr<Conn> shared = conn;
     shared->reader = std::thread([this, shared] { reader_loop(shared); });
     pool_[slot] = std::move(conn);
   }
   pool_gauge_->set(static_cast<std::int64_t>(live_count_locked()));
-  if (!any_live_locked()) {
-    connect_failures_->add();
-    const std::string reason =
-        "RemoteBackend: shard " + config_.address + " unreachable after " +
-        std::to_string(config_.connect_retries) +
-        " attempt(s): " + last_error;
-    // Queued queries were never on the wire, but with no connection coming
-    // they must fail loudly, not sit forever.
-    std::vector<Queued> orphans(std::make_move_iterator(queue_.begin()),
-                                std::make_move_iterator(queue_.end()));
-    queue_.clear();
-    completing_ += 1;
-    {
-      const sync::ReleasableLock unlocked(mutex_);
-      complete_unavailable({}, std::move(orphans), reason);
-    }
-    throw BackendUnavailable(reason);
+  if (fresh.size() == want.size()) return true;
+  reconnect_at_ = std::chrono::steady_clock::now() + config_.retry_backoff;
+  connect_error_ = "RemoteBackend: shard " + config_.address +
+                   " unreachable after " +
+                   std::to_string(config_.connect_retries) +
+                   " attempt(s): " + last_error;
+  if (any_live_locked()) return true;
+  connect_failures_->add();
+  // Queued queries were never on the wire, but with no connection coming
+  // they must fail loudly, not sit forever.
+  fail_queued_locked(connect_error_);
+  return false;
+}
+
+void RemoteBackend::send_control_locked() {
+  const std::shared_ptr<Conn> conn = pick_live_locked(/*windowed=*/false);
+  if (!conn) return;
+  Control request = std::move(control_.front());
+  control_.pop_front();
+  const std::uint64_t cid = conn->next_cid++;
+  Pending pending;
+  pending.kind = Pending::Kind::kRpc;
+  pending.reply = std::move(request.reply);
+  // Registered before the write: the reply can land before this thread
+  // takes the lock again.
+  conn->pending.emplace(cid, std::move(pending));
+  try {
+    const sync::ReleasableLock unlocked(mutex_);
+    send_frame(conn->socket, request.type, request.payload, cid);
+  } catch (const SocketError& transport) {
+    // A failed control frame is never retried: the connection's failure
+    // path fails its promise with the rest of the connection's pendings.
+    fail_written_conn_locked(*conn, transport.what());
+  } catch (const WireError& refused) {
+    refuse_unsent_locked(*conn, cid, refused);
   }
 }
 
-void RemoteBackend::flush_locked(std::vector<Pending>* failed_pending) const {
-  bool progressed = false;
-  while (!queue_.empty()) {
-    Conn* conn = pick_live_locked(/*windowed=*/true);
-    if (!conn) break;
-    const std::size_t take = std::min(config_.max_batch, queue_.size());
-    std::vector<Queued> taken;
-    taken.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      taken.push_back(std::move(queue_.front()));
-      queue_.pop_front();
+void RemoteBackend::send_batch_locked() {
+  const std::shared_ptr<Conn> conn = pick_live_locked(/*windowed=*/true);
+  if (!conn || queue_.empty()) return;
+  conn->in_flight += 1;  // claim the window slot before dropping the lock
+  const std::size_t take = std::min(config_.max_batch, queue_.size());
+  std::vector<Queued> taken;
+  taken.reserve(take);
+  for (std::size_t i = 0; i < take; ++i) {
+    taken.push_back(std::move(queue_.front()));
+    queue_.pop_front();
+  }
+  const auto requeue = [&] {
+    for (std::size_t i = take; i > 0; --i) {
+      queue_.push_front(std::move(taken[i - 1]));
     }
+  };
 
+  std::string payload;
+  double serialize_us = 0.0;
+  {
+    const sync::ReleasableLock unlocked(mutex_);
     const auto encode_start = std::chrono::steady_clock::now();
     std::vector<QueryRequest> batch(take);
     for (std::size_t i = 0; i < take; ++i) {
-      batch[i].building = taken[i].building;
-      batch[i].fingerprint = std::move(taken[i].fingerprint);
+      batch[i] = std::move(taken[i].query);
     }
-    const std::string payload = encode_query_batch(batch);
+    payload = encode_query_batch(batch);
     for (std::size_t i = 0; i < take; ++i) {
-      taken[i].fingerprint = std::move(batch[i].fingerprint);
+      taken[i].query = std::move(batch[i]);
     }
-    const double serialize_us = us_since(encode_start);
-
-    const std::uint64_t cid = conn->next_cid++;
-    try {
-      send_frame(conn->socket, MessageType::kQueryBatch, payload, cid);
-    } catch (const SocketError&) {
-      // The frame never fully reached the peer (a partial write is a torn
-      // frame the server drops, never executes), so these queries may be
-      // re-flushed to another connection — this is NOT a re-send of a
-      // sent frame. The connection itself is gone.
-      rpc_failures_->add();
-      std::vector<Pending> failed = fail_conn_locked(*conn);
-      std::move(failed.begin(), failed.end(),
-                std::back_inserter(*failed_pending));
-      for (std::size_t i = take; i > 0; --i) {
-        queue_.push_front(std::move(taken[i - 1]));
-      }
-      continue;
-    }
-
-    Pending pending;
-    pending.kind = Pending::Kind::kBatch;
-    pending.completions.reserve(take);
-    for (Queued& entry : taken) {
-      pending.completions.push_back(
-          {std::move(entry.done), entry.submitted});
-    }
-    pending.sent = std::chrono::steady_clock::now();
-    pending.serialize_us = serialize_us;
-    in_flight_hist_->record(static_cast<double>(conn->in_flight));
-    if (conn->in_flight > 0) pipelined_rpcs_->add();
-    if (take > 1) {
-      batch_frames_->add();
-      batched_queries_->add(take);
-    }
-    conn->pending.emplace(cid, std::move(pending));
-    conn->in_flight += 1;
-    progressed = true;
+    serialize_us = us_since(encode_start);
   }
-  if (progressed) cv_.notify_all();
+  if (conn->dead) {
+    // The connection failed while the frame was encoded (its window was
+    // reset with it); nothing was sent, so the queries wait for the next.
+    requeue();
+    return;
+  }
+
+  const std::uint64_t cid = conn->next_cid++;
+  Pending pending;
+  pending.kind = Pending::Kind::kBatch;
+  pending.completions.reserve(take);
+  for (Queued& entry : taken) {
+    pending.completions.push_back({std::move(entry.done), entry.submitted});
+  }
+  pending.sent = std::chrono::steady_clock::now();
+  pending.serialize_us = serialize_us;
+  const std::size_t depth = conn->in_flight - 1;  // frames already out
+  in_flight_hist_->record(static_cast<double>(depth));
+  if (depth > 0) pipelined_rpcs_->add();
+  if (take > 1) {
+    batch_frames_->add();
+    batched_queries_->add(take);
+  }
+  // Registered before the write: the reply can land before this thread
+  // takes the lock again.
+  conn->pending.emplace(cid, std::move(pending));
+
+  std::string failure;
+  try {
+    const sync::ReleasableLock unlocked(mutex_);
+    send_frame(conn->socket, MessageType::kQueryBatch, payload, cid);
+    return;
+  } catch (const SocketError& transport) {
+    failure = transport.what();
+  } catch (const WireError& refused) {
+    refuse_unsent_locked(*conn, cid, refused);
+    return;
+  }
+  // The frame never fully reached the peer (a partial write is a torn frame
+  // the server drops, never executes), so its queries go back to the queue
+  // for the next connection — this is NOT a re-send of a sent frame. If the
+  // reader already failed the connection, it completed them instead.
+  const auto it = conn->pending.find(cid);
+  if (it != conn->pending.end()) {
+    for (std::size_t i = 0; i < take; ++i) {
+      taken[i].done = std::move(it->second.completions[i].done);
+    }
+    conn->pending.erase(it);
+    requeue();
+  }
+  fail_written_conn_locked(*conn, failure);
 }
 
-void RemoteBackend::reader_loop(std::shared_ptr<Conn> conn) const {
+void RemoteBackend::refuse_unsent_locked(Conn& conn, std::uint64_t cid,
+                                         const WireError& refused) {
+  const auto it = conn.pending.find(cid);
+  if (it == conn.pending.end()) return;  // its reader failed the connection
+  Pending pending = std::move(it->second);
+  conn.pending.erase(it);
+  if (pending.kind == Pending::Kind::kRpc) {
+    pending.reply->set_exception(std::make_exception_ptr(refused));
+    return;
+  }
+  conn.in_flight -= 1;
+  outstanding_ -= pending.completions.size();
+  completing_ += 1;
+  cv_.notify_all();
+  {
+    const sync::ReleasableLock unlocked(mutex_);
+    for (const Pending::Completion& completion : pending.completions) {
+      complete_failed(completion.done, completion.submitted,
+                      QueryOutcome::kRefused, refused.what());
+    }
+  }
+  completing_ -= 1;
+  cv_.notify_all();
+}
+
+void RemoteBackend::fail_written_conn_locked(Conn& conn,
+                                             const std::string& what) {
+  rpc_failures_->add();
+  if (conn.dead) return;  // its reader failed it and completed its pendings
+  std::vector<Pending> failed = fail_conn_locked(conn);
+  completing_ += 1;
+  const sync::ReleasableLock unlocked(mutex_);
+  complete_unavailable(std::move(failed), {}, {},
+                       "RemoteBackend: shard " + config_.address +
+                           " write failed: " + what);
+}
+
+void RemoteBackend::reader_loop(const std::shared_ptr<Conn>& conn) {
   FrameReader reader(conn->socket);
   std::string reason;
   for (;;) {
@@ -387,71 +505,55 @@ void RemoteBackend::reader_loop(std::shared_ptr<Conn> conn) const {
       reason = "reply deadline expired with RPCs in flight";
       break;
     }
-    if (!dispatch_reply(conn, std::move(frame))) {
+    if (!dispatch_reply(*conn, std::move(frame))) {
       reason = "reply with unknown correlation id (protocol skew)";
       break;
     }
   }
 
+  // Queued (never-sent) queries stay queued: the flusher reconnects for
+  // them, or fails them if the shard cannot be reached.
   std::vector<Pending> failed;
-  std::vector<Queued> orphans;
-  bool deliver = false;
   {
     const sync::MutexLock lock(mutex_);
     failed = fail_conn_locked(*conn);
-    if (!failed.empty()) rpc_failures_->add(failed.size());
-    // With no live connection left, queued (never-sent) queries have
-    // nobody to flush them until a future submit reconnects — fail them
-    // now rather than let their callers hang. A sent frame is never
-    // re-sent; these were never sent.
-    if (!any_live_locked() && !queue_.empty()) {
-      orphans.assign(std::make_move_iterator(queue_.begin()),
-                     std::make_move_iterator(queue_.end()));
-      queue_.clear();
-    }
-    deliver = !failed.empty() || !orphans.empty();
-    if (deliver) completing_ += 1;
+    if (failed.empty()) return;
+    rpc_failures_->add(failed.size());
+    completing_ += 1;
   }
-  if (deliver) {
-    complete_unavailable(std::move(failed), std::move(orphans),
-                         "RemoteBackend: shard " + config_.address +
-                             " connection lost: " + reason);
-  }
+  complete_unavailable(std::move(failed), {}, {},
+                       "RemoteBackend: shard " + config_.address +
+                           " connection lost: " + reason);
 }
 
-bool RemoteBackend::dispatch_reply(std::shared_ptr<Conn> conn,
-                                   Frame frame) const {
+bool RemoteBackend::dispatch_reply(Conn& conn, Frame frame) {
   Pending pending;
-  std::vector<Pending> failed;
+  bool wake_flusher = false;
   {
     const sync::MutexLock lock(mutex_);
-    const auto it = conn->pending.find(frame.correlation_id);
-    if (it == conn->pending.end()) return false;
+    const auto it = conn.pending.find(frame.correlation_id);
+    if (it == conn.pending.end()) return false;
     pending = std::move(it->second);
-    conn->pending.erase(it);
+    conn.pending.erase(it);
     if (pending.kind != Pending::Kind::kRpc) {
-      if (conn->in_flight > 0) conn->in_flight -= 1;
-      // A window slot just freed: push queued work before completing, so
-      // the wire never idles while the client holds ready queries.
-      flush_locked(&failed);
-      completing_ += failed.empty() ? 1 : 2;
-      cv_.notify_all();
+      if (conn.in_flight > 0) conn.in_flight -= 1;
+      outstanding_ -= pending.completions.size();
+      completing_ += 1;
+      wake_flusher = !queue_.empty();  // a window slot just freed
     }
   }
   if (pending.kind == Pending::Kind::kRpc) {
     pending.reply->set_value(std::move(frame));
     return true;
   }
-  if (!failed.empty()) {
-    complete_unavailable(std::move(failed), {},
-                         "RemoteBackend: shard " + config_.address +
-                             " connection lost mid-flush");
-  }
+  // Notified after the unlock, so the woken threads do not block on it.
+  cv_.notify_all();
+  if (wake_flusher) flush_cv_.notify_one();
   complete_query(std::move(pending), std::move(frame));
   return true;
 }
 
-void RemoteBackend::complete_query(Pending pending, Frame frame) const {
+void RemoteBackend::complete_query(Pending pending, Frame frame) {
   const double rpc_us = us_since(pending.sent);
   wire_serialize_hist_->record(pending.serialize_us);
   wire_rpc_hist_->record(rpc_us);
@@ -514,35 +616,21 @@ void RemoteBackend::complete_query(Pending pending, Frame frame) const {
   cv_.notify_all();
 }
 
-Frame RemoteBackend::rpc(MessageType type, const std::string& payload) const {
-  std::future<Frame> future;
-  std::vector<Pending> failed;
-  std::string fail_reason;
+Frame RemoteBackend::rpc(MessageType type, std::string payload) const {
+  Control request;
+  request.type = type;
+  request.payload = std::move(payload);
+  request.reply = std::make_shared<std::promise<Frame>>();
+  std::future<Frame> future = request.reply->get_future();
   {
     const sync::MutexLock lock(mutex_);
     if (stopping_) throw BackendUnavailable("RemoteBackend: stopped");
-    ensure_pool();
-    Conn* conn = pick_live_locked(/*windowed=*/false);
-    if (!conn) throw BackendUnavailable("RemoteBackend: no live connection");
-    Pending pending;
-    pending.kind = Pending::Kind::kRpc;
-    pending.reply = std::make_shared<std::promise<Frame>>();
-    future = pending.reply->get_future();
-    const std::uint64_t cid = conn->next_cid++;
-    try {
-      send_frame(conn->socket, type, payload, cid);
-    } catch (const SocketError& transport) {
-      rpc_failures_->add();
-      failed = fail_conn_locked(*conn);
-      completing_ += 1;
-      fail_reason = "RemoteBackend: shard " + config_.address +
-                    " failed mid-RPC: " + transport.what();
+    if (!any_live_locked() &&
+        std::chrono::steady_clock::now() < reconnect_at_) {
+      throw BackendUnavailable(connect_error_);  // unreachable, fail fast
     }
-    if (fail_reason.empty()) conn->pending.emplace(cid, std::move(pending));
-  }
-  if (!fail_reason.empty()) {
-    complete_unavailable(std::move(failed), {}, fail_reason);
-    throw BackendUnavailable(fail_reason);
+    control_.push_back(std::move(request));
+    flush_cv_.notify_one();
   }
   // The reader thread completes (or fails) the promise; a lost reply is
   // bounded by io_timeout via the reader's reply deadline.
@@ -601,131 +689,46 @@ std::size_t RemoteBackend::deployed_model_count() const {
 void RemoteBackend::submit(int building, std::vector<float> fingerprint,
                            Callback done) {
   Queued entry;
-  entry.building = building;
-  entry.fingerprint = std::move(fingerprint);
+  entry.query.building = building;
+  entry.query.fingerprint = std::move(fingerprint);
   entry.done = std::move(done);
   entry.submitted = std::chrono::steady_clock::now();
-  std::vector<Pending> failed;
-  bool deliver = false;
+  bool stopped = false;
   {
     const sync::MutexLock lock(mutex_);
+    // Backpressure: queued + in-flight queries stay below queue_cap().
     cv_.wait(mutex_, [this] {
       mutex_.assert_held();  // lambda body: capability not propagated
-      return stopping_ || queue_.size() < queue_cap();
+      return stopping_ || outstanding_ < queue_cap();
     });
-    if (stopping_) {
-      std::vector<Queued> stopped;
-      stopped.push_back(std::move(entry));
+    stopped = stopping_;
+    if (stopped) {
       completing_ += 1;
-      const sync::ReleasableLock unlocked(mutex_);
-      complete_unavailable({}, std::move(stopped), "RemoteBackend: stopped");
-      return;
+    } else {
+      queue_.push_back(std::move(entry));
+      outstanding_ += 1;
     }
-    const std::uint64_t seq = next_seq_++;
-    entry.seq = seq;
-    queue_.push_back(std::move(entry));
-    try {
-      ensure_pool();
-    } catch (const BackendUnavailable&) {
-      // The shard is unreachable: ensure_pool failed every queued query,
-      // this one included, through its callback.
-    }
-    flush_locked(&failed);
-
-    if (config_.max_batch <= 1) {
-      // Window-full backpressure: without batching there is nothing useful
-      // to coalesce, so submit blocks until its frame is on the wire (the
-      // queue is FIFO — our entry is gone once the head seq passes ours)
-      // or until the entry was failed (its callback already ran).
-      while (!stopping_) {
-        if (queue_.empty() || queue_.front().seq > seq) break;
-        if (!any_live_locked()) {
-          try {
-            ensure_pool();
-          } catch (const BackendUnavailable&) {
-            break;  // ensure_pool failed our queued entry via its callback
-          }
-          flush_locked(&failed);
-          continue;
-        }
-        // Predicate wait (rule R8): wake when our entry has left the queue
-        // (flushed to the wire or failed), the pool has died (the reconnect
-        // branch above takes over), or the backend is stopping. These are
-        // exactly the loop's own recheck conditions.
-        cv_.wait(mutex_, [this, seq] {
-          mutex_.assert_held();  // lambda body: capability not propagated
-          return stopping_ || queue_.empty() || queue_.front().seq > seq ||
-                 !any_live_locked();
-        });
-      }
-    }
-    deliver = !failed.empty();
-    if (deliver) completing_ += 1;
   }
-  if (deliver) {
-    complete_unavailable(std::move(failed), {},
-                         "RemoteBackend: shard " + config_.address +
-                             " connection lost mid-flush");
+  if (!stopped) {
+    flush_cv_.notify_one();
+    return;
   }
-}
-
-RemoteBackend::DrainState RemoteBackend::drain_state_locked() const {
-  DrainState state;
-  state.queued = queue_.size();
-  for (const auto& slot : pool_) {
-    if (slot) state.in_flight += slot->in_flight;
-  }
-  state.completing = completing_;
-  state.live = live_count_locked();
-  state.stopping = stopping_;
-  return state;
+  std::vector<Queued> refused;
+  refused.push_back(std::move(entry));
+  complete_unavailable({}, std::move(refused), {}, "RemoteBackend: stopped");
 }
 
 void RemoteBackend::drain() {
   const sync::MutexLock lock(mutex_);
-  for (;;) {
-    std::vector<Pending> failed;
-    flush_locked(&failed);
-    if (!failed.empty()) {
-      completing_ += 1;
-      {
-        const sync::ReleasableLock unlocked(mutex_);
-        complete_unavailable(std::move(failed), {},
-                             "RemoteBackend: shard " + config_.address +
-                                 " connection lost mid-flush");
-      }
-      continue;
-    }
-    const DrainState seen = drain_state_locked();
-    if (seen.queued == 0 && seen.in_flight == 0 && seen.completing == 0) {
-      return;
-    }
-    if (seen.queued > 0 && !any_live_locked()) {
-      try {
-        ensure_pool();
-      } catch (const BackendUnavailable&) {
-        continue;  // queued entries were failed; loop re-checks emptiness
-      }
-      continue;
-    }
-    // Predicate wait (rule R8): sleep until the drain-relevant state moves
-    // at all — every transition that could let the loop progress (a window
-    // slot freeing, a callback finishing, a connection dying or arriving,
-    // new work queued) changes one DrainState component and notifies cv_.
-    cv_.wait(mutex_, [this, seen] {
-      mutex_.assert_held();  // lambda body: capability not propagated
-      return !(drain_state_locked() == seen);
-    });
-  }
+  cv_.wait(mutex_, [this] {
+    mutex_.assert_held();  // lambda body: capability not propagated
+    return outstanding_ == 0 && completing_ == 0;
+  });
 }
 
 std::size_t RemoteBackend::queue_depth() const {
   const sync::MutexLock lock(mutex_);
-  std::size_t depth = queue_.size();
-  for (const auto& slot : pool_) {
-    if (slot) depth += slot->in_flight;
-  }
-  return depth;
+  return outstanding_;
 }
 
 telemetry::RegistrySnapshot RemoteBackend::telemetry_snapshot() const {

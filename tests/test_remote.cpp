@@ -887,6 +887,109 @@ TEST(Pipelining, ConnectionLossFailsEveryInFlightQueryAndNeverResends) {
   EXPECT_EQ(second_connection_rps, std::vector<int>{40});
 }
 
+TEST(Pipelining, SubmitOnlyEnqueuesWhileTheFlusherSpendsTheConnectBudget) {
+  // Nobody listens at this address. The connect budget (three attempts,
+  // two 200 ms backoffs) is spent on the flusher thread, so submit() only
+  // enqueues, and every query later completes kUnavailable.
+  remote::RemoteBackendConfig config = fast_client(unique_address("nolisten"));
+  config.connect_retries = 3;
+  config.retry_backoff = 200ms;
+  config.max_in_flight = 4;
+  config.max_batch = 4;  // room for 16 queued queries
+  remote::RemoteBackend backend(config);
+  std::vector<std::promise<serve::QueryResult>> outcomes(16);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    backend.submit(2, {1.0f}, [&outcomes, i](serve::QueryResult r) {
+      outcomes[i].set_value(std::move(r));
+    });
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 100ms);
+  for (auto& outcome : outcomes) {
+    const serve::QueryResult result = outcome.get_future().get();
+    EXPECT_EQ(result.outcome, serve::QueryOutcome::kUnavailable);
+    EXPECT_NE(result.error.find("unreachable"), std::string::npos);
+  }
+}
+
+TEST(Pipelining, AFailedConnectBudgetIsRememberedForRetryBackoff) {
+  // After a failed budget the shard counts as unreachable for
+  // retry_backoff: back-to-back queries and control RPCs fail at once
+  // instead of each starting a budget of their own.
+  remote::RemoteBackendConfig config =
+      fast_client(unique_address("deadshard"));
+  config.connect_retries = 1;
+  config.retry_backoff = 500ms;
+  remote::RemoteBackend backend(config);
+  for (int i = 0; i < 8; ++i) {
+    std::promise<serve::QueryResult> outcome;
+    backend.submit(2, {1.0f}, [&outcome](serve::QueryResult r) {
+      outcome.set_value(std::move(r));
+    });
+    EXPECT_EQ(outcome.get_future().get().outcome,
+              serve::QueryOutcome::kUnavailable);
+  }
+  EXPECT_THROW((void)backend.health(), serve::BackendUnavailable);
+  const serve::telemetry::RegistrySnapshot snapshot =
+      backend.telemetry_snapshot();
+  EXPECT_EQ(snapshot.counters.at("net.connect_failures"), 1u);
+  EXPECT_EQ(snapshot.counters.at("net.connects"), 0u);
+}
+
+TEST(Pipelining, QueueDepthCountsQueriesNotFrames) {
+  // A hand-rolled shard answers the first frame and holds the second, a
+  // frame of three coalesced queries. queue_depth() counts queries, so it
+  // must equal submitted minus completed while that frame is in flight.
+  const std::string address = unique_address("depth");
+  remote::Socket listener = remote::Socket::listen(address);
+  std::promise<void> first_received, release_first, second_received,
+      release_second;
+  std::size_t second_frame_queries = 0;
+  std::thread shard([&] {
+    remote::Socket conn = listener.accept();
+    conn.set_io_timeout(5000ms);
+    remote::Frame first, second;
+    if (!remote::recv_frame(conn, first)) return;
+    first_received.set_value();
+    release_first.get_future().wait();
+    reply_with_fingerprint_rp(conn, first);
+    if (!remote::recv_frame(conn, second)) return;
+    second_frame_queries = remote::decode_query_batch(second.payload).size();
+    second_received.set_value();
+    release_second.get_future().wait();
+    reply_with_fingerprint_rp(conn, second);
+  });
+
+  remote::RemoteBackendConfig config = fast_client(address);
+  config.max_in_flight = 1;
+  config.max_batch = 4;  // room for 4 queries: one in flight, three queued
+  remote::RemoteBackend backend(config);
+  std::atomic<std::size_t> completed{0};
+  std::promise<void> first_completed;
+  const auto count = [&](serve::QueryResult r) {
+    EXPECT_EQ(r.outcome, serve::QueryOutcome::kOk);
+    completed.fetch_add(1);
+    if (r.rp == 1) first_completed.set_value();
+  };
+  backend.submit(2, {1.0f}, count);
+  first_received.get_future().wait();
+  for (int i = 2; i <= 4; ++i) {
+    backend.submit(2, {static_cast<float>(i)}, count);
+  }
+  EXPECT_EQ(backend.queue_depth(), 4u);
+  release_first.set_value();
+  second_received.get_future().wait();
+  first_completed.get_future().wait();
+  EXPECT_EQ(second_frame_queries, 3u);
+  EXPECT_EQ(completed.load(), 1u);
+  EXPECT_EQ(backend.queue_depth(), 4u - completed.load());
+  release_second.set_value();
+  backend.drain();
+  shard.join();
+  EXPECT_EQ(completed.load(), 4u);
+  EXPECT_EQ(backend.queue_depth(), 0u);
+}
+
 TEST_F(RemoteFixture, WindowOneAndPipelinedServingAreBitIdenticalToLocal) {
   remote::ShardServerConfig server_config;
   server_config.address = unique_address("pipeident");
@@ -945,6 +1048,75 @@ TEST_F(RemoteFixture, WindowOneAndPipelinedServingAreBitIdenticalToLocal) {
   EXPECT_GT(snapshot.counters.at("net.pipelined_rpcs"), 0u);
   EXPECT_GT(snapshot.counters.at("net.batched_queries"), 0u);
   EXPECT_EQ(snapshot.gauges.at("net.pool_size"), 2);
+  server.stop();
+}
+
+TEST_F(RemoteFixture, ConcurrentSubmittersAndControlRpcsAreBitIdenticalToLocal) {
+  // Four submitter threads share one pipelined client while a fifth polls
+  // stats RPCs on the same sockets. Every answer must match local serving
+  // bit for bit: a control frame interleaved into a query frame would tear
+  // one of them.
+  remote::ShardServerConfig server_config;
+  server_config.address = unique_address("concurrent");
+  remote::ShardServer server(server_config);
+  server.start();
+  remote::RemoteBackendConfig config = fast_client(server_config.address);
+  config.pool_size = 2;
+  config.max_in_flight = 2;
+  config.max_batch = 4;
+  remote::RemoteBackend backend(config);
+  serve::SyncBackend local;
+  backend.deploy(record());
+  local.deploy(record());
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 200;
+  serve::TrafficGenerator generator = traffic();
+  const auto stream = generator.generate(kThreads * kPerThread);
+  std::vector<serve::QueryResult> results(stream.size());
+  std::atomic<bool> traffic_done{false};
+  std::size_t polls = 0;
+  std::thread poller([&] {
+    do {
+      EXPECT_FALSE(backend.telemetry_snapshot().empty());
+      ++polls;
+    } while (!traffic_done.load());
+  });
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (std::size_t i = t * kPerThread; i < (t + 1) * kPerThread; ++i) {
+        backend.submit(stream[i].building, stream[i].x,
+                       [&results, i](serve::QueryResult r) {
+                         results[i] = std::move(r);
+                       });
+      }
+    });
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+  backend.drain();
+  traffic_done.store(true);
+  poller.join();
+  EXPECT_GT(polls, 0u);
+
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    serve::QueryResult expected;
+    local.submit(stream[i].building, stream[i].x,
+                 [&expected](serve::QueryResult r) { expected = std::move(r); });
+    ASSERT_EQ(results[i].outcome, serve::QueryOutcome::kOk) << results[i].error;
+    EXPECT_EQ(results[i].rp, expected.rp);
+    EXPECT_EQ(results[i].position.x, expected.position.x);
+    EXPECT_EQ(results[i].position.y, expected.position.y);
+    ASSERT_EQ(results[i].top_k.size(), expected.top_k.size());
+    for (std::size_t k = 0; k < expected.top_k.size(); ++k) {
+      EXPECT_EQ(results[i].top_k[k].label, expected.top_k[k].label);
+      EXPECT_EQ(results[i].top_k[k].confidence, expected.top_k[k].confidence);
+    }
+  }
+  const serve::telemetry::RegistrySnapshot snapshot =
+      backend.telemetry_snapshot();
+  EXPECT_EQ(snapshot.counters.at("net.rpc_failures"), 0u);
+  EXPECT_EQ(snapshot.counters.at("net.connect_failures"), 0u);
   server.stop();
 }
 
